@@ -24,6 +24,7 @@ The conditions, by paper label:
 from __future__ import annotations
 
 from collections import deque
+from types import MappingProxyType
 from typing import (
     Dict,
     FrozenSet,
@@ -88,6 +89,8 @@ class DimensionInstance:
         "_children",
         "_names",
         "_ancestors_cache",
+        "_rollups",
+        "_base_rollups",
     )
 
     def __init__(
@@ -140,6 +143,11 @@ class DimensionInstance:
             base_names.update(names)
         self._names: Dict[Member, object] = base_names
         self._ancestors_cache: Dict[Member, FrozenSet[Member]] = {}
+        # The instance has no mutators, so roll-up maps computed once stay
+        # valid for its whole life.  They are plain dicts (handed out behind
+        # read-only proxies) so the instance stays picklable.
+        self._rollups: Dict[Tuple[Category, Category], Dict[Member, Member]] = {}
+        self._base_rollups: Dict[Category, Dict[Member, Member]] = {}
 
         if validate:
             self.validate()
@@ -237,18 +245,40 @@ class DimensionInstance:
 
     def rollup_mapping(
         self, lower: Category, upper: Category
-    ) -> Dict[Member, Member]:
-        """The rollup mapping ``GAMMA_{lower}^{upper}`` as a dict.
+    ) -> Mapping[Member, Member]:
+        """The rollup mapping ``GAMMA_{lower}^{upper}``, read-only.
 
         Only members of ``lower`` that actually reach ``upper`` appear, so in
-        heterogeneous dimensions the mapping may be partial.
+        heterogeneous dimensions the mapping may be partial.  Computed once
+        per category pair and shared by every later caller.
         """
-        mapping: Dict[Member, Member] = {}
-        for member in self.members(lower):
-            target = self.ancestor_in(member, upper)
-            if target is not None:
-                mapping[member] = target
-        return mapping
+        key = (lower, upper)
+        mapping = self._rollups.get(key)
+        if mapping is None:
+            mapping = {}
+            for member in self.members(lower):
+                target = self.ancestor_in(member, upper)
+                if target is not None:
+                    mapping[member] = target
+            self._rollups[key] = mapping
+        return MappingProxyType(mapping)
+
+    def base_rollup(self, category: Category) -> Mapping[Member, Member]:
+        """``GAMMA_{c_b}^{category}`` over every bottom category at once:
+        each base member that reaches ``category`` mapped to its member
+        there, read-only.  This is the map fact scans roll facts up by.
+
+        >>> from repro.generators.location import location_instance
+        >>> location_instance().base_rollup("Country")["s1"]
+        'Canada'
+        """
+        mapping = self._base_rollups.get(category)
+        if mapping is None:
+            mapping = {}
+            for bottom in self.hierarchy.bottom_categories():
+                mapping.update(self.rollup_mapping(bottom, category))
+            self._base_rollups[category] = mapping
+        return MappingProxyType(mapping)
 
     def base_members(self) -> FrozenSet[Member]:
         """Members of the bottom categories (``MembSet_{c_b}``)."""

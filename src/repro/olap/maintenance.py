@@ -66,8 +66,7 @@ def apply_delta(
         # rollup.
         if delta.instance.hierarchy != instance.hierarchy:
             raise OlapError("delta facts belong to a different dimension")
-        for fact in delta:
-            member = fact.member
+        for member in delta.member_column:
             if member not in instance:
                 raise OlapError(
                     f"delta fact member {member!r} does not exist in the "
@@ -245,11 +244,7 @@ class MaintainedNavigator(AggregateNavigator):
         delta = FactTable(self.instance, rows)
         if len(delta) == 0:
             return 0
-        merged_rows: List[Tuple[Member, Mapping[str, float]]] = [
-            (fact.member, fact.measures) for fact in self.facts
-        ]
-        merged_rows.extend((fact.member, fact.measures) for fact in delta)
-        self.facts = FactTable(self.instance, merged_rows)
+        self.facts = self.facts.concat(delta)
         for key, view in list(self._views.items()):
             self._views[key] = apply_delta(self.instance, view, delta)
         return len(delta)

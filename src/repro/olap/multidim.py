@@ -85,6 +85,7 @@ class Cube:
         self, rows: Iterable[Tuple[Mapping[str, Member], Mapping[str, float]]]
     ) -> "Cube":
         """Append fact rows; each row names a base member per dimension."""
+        bases = {name: d.base_members() for name, d in self.dimensions.items()}
         for coordinates, measures in rows:
             if set(coordinates) != set(self.dimensions):
                 raise OlapError(
@@ -92,8 +93,7 @@ class Cube:
                     f"dimensions {sorted(self.dimensions)}"
                 )
             for name, member in coordinates.items():
-                instance = self.dimensions[name]
-                if member not in instance.base_members():
+                if member not in bases[name]:
                     raise OlapError(
                         f"dimension {name!r}: {member!r} is not a base member"
                     )
@@ -124,28 +124,22 @@ class Cube:
     ) -> "MultiCubeView":
         """The cube view at a level assignment, straight from the facts."""
         self._check_levels(levels)
+        rollups = [
+            (name, self.dimensions[name].base_rollup(levels[name]))
+            for name in self.dimension_order
+        ]
         groups: Dict[CellKey, List[float]] = {}
         scanned = 0
         for fact in self._facts:
             scanned += 1
-            key: List[Member] = []
-            dropped = False
-            for name in self.dimension_order:
-                instance = self.dimensions[name]
-                target = instance.ancestor_in(
-                    fact.coordinates[name], levels[name]
-                )
-                if target is None:
-                    dropped = True
-                    break
-                key.append(target)
-            if dropped:
+            key = tuple(rollup.get(fact.coordinates[name]) for name, rollup in rollups)
+            if None in key:
                 continue
             try:
                 value = fact.measures[measure]
             except KeyError:
                 raise OlapError(f"fact has no measure {measure!r}") from None
-            groups.setdefault(tuple(key), []).append(value)
+            groups.setdefault(key, []).append(value)
         cells = {
             key: aggregate.aggregate(values) for key, values in groups.items()
         }

@@ -41,7 +41,7 @@ from repro.core.summarizability import (
 )
 from repro.errors import NavigationError, OlapError
 from repro.olap.aggregates import AggregateFunction
-from repro.olap.cubeview import CubeView, cube_view, recombine
+from repro.olap.cubeview import CubeView, cube_view, cube_views, recombine
 from repro.olap.facttable import FactTable
 
 _M_QUERIES = METRICS.counter("navigator.queries")
@@ -195,12 +195,13 @@ class AggregateNavigator:
             del self._summarizable_cache[key]
         for proven_key in [k for k in self._proven_sources if k[0] == old_context]:
             del self._proven_sources[proven_key]
-        for category, agg_name, measure in list(self._views):
-            view_key = (category, agg_name, measure)
-            aggregate = self._views[view_key].aggregate
-            self._views[view_key] = cube_view(
-                self.facts, category, aggregate, measure
-            )
+        # One scan per (category, measure) feeds every stored aggregate.
+        scans: Dict[Tuple[Category, str], List[AggregateFunction]] = {}
+        for (category, _name, measure), view in self._views.items():
+            scans.setdefault((category, measure), []).append(view.aggregate)
+        for (category, measure), aggregates in scans.items():
+            for view in cube_views(self.facts, category, aggregates, measure):
+                self._views[(category, view.aggregate.name, measure)] = view
 
     # ------------------------------------------------------------------
     # Query answering

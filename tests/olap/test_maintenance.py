@@ -179,3 +179,34 @@ class TestMaintainedNavigator:
         )
         assert navigator.append([]) == 0
         assert len(navigator.facts) == len(BASE_ROWS)
+
+    def test_append_equals_full_rebuild(self, loc_instance, loc_schema):
+        """The appended table and every view equal a fresh build over the
+        old and new rows together."""
+        navigator = MaintainedNavigator(
+            FactTable(loc_instance, BASE_ROWS), schema=loc_schema
+        )
+        for aggregate in all_aggregates():
+            for category in ("Store", "City", "Country"):
+                navigator.materialize(category, aggregate, "sales")
+        navigator.append(DELTA_ROWS[:1])
+        navigator.append(DELTA_ROWS[1:])
+
+        full = FactTable(loc_instance, BASE_ROWS + DELTA_ROWS)
+        assert list(navigator.facts) == list(full)
+        assert navigator.facts.measures == full.measures
+        for aggregate in all_aggregates():
+            for category in ("Store", "City", "Country"):
+                stored, plan = navigator.answer(category, aggregate, "sales")
+                assert plan.kind == "materialized"
+                assert stored.cells == cube_view(full, category, aggregate, "sales").cells
+
+    def test_append_validates_the_delta(self, loc_instance, loc_schema):
+        navigator = MaintainedNavigator(
+            FactTable(loc_instance, BASE_ROWS), schema=loc_schema
+        )
+        with pytest.raises(OlapError, match="bottom category"):
+            navigator.append([("Toronto", {"sales": 1.0})])
+        with pytest.raises(OlapError, match=r"has measures \['profit'\], expected \['sales'\]"):
+            navigator.append([("s2", {"profit": 1.0})])
+        assert navigator.facts.members() == [member for member, _ in BASE_ROWS]
