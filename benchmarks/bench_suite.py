@@ -16,16 +16,17 @@ and exits non-zero when the cached path regresses the benchmark by more
 than 20%.
 
 The same smoke run also measures the
-:class:`~repro.core.parallel.ParallelDecisionEngine` batch path on a
+:class:`~repro.core.engine.DecisionEngine` batch path on a
 random-schema workload with repeated queries (the navigator's traffic
-shape): per-request sequential kernel vs one ``decide_many`` batch at 4
-workers.  Verdicts must be byte-identical; the numbers go to
-``BENCH_2.json`` and the gate fails below a 2x speedup.
+shape): the uncached per-request kernel vs one ``decide_many`` batch,
+which dedups the repeats and answers through a fresh decision cache.
+Verdicts must be byte-identical; the numbers go to ``BENCH_2.json`` and
+the gate fails below a 2x speedup.
 
 The run also prices the resilience layer: the same batch through a
 :class:`~repro.core.resilience.ResilientDecisionEngine` (fault-free)
 must return byte-identical verdicts at <=5% overhead versus the plain
-parallel engine, and a faulted pass (fixed-seed worker crashes and
+decision engine, and a faulted pass (fixed-seed worker crashes and
 cache-store failures) must stay correct-or-UNKNOWN.  The numbers go to
 ``BENCH_4.json``.
 
@@ -82,7 +83,7 @@ from conftest import print_table
 
 from repro.core import is_implied, satisfiability_report
 from repro.core.decisioncache import DecisionCache
-from repro.core.parallel import ParallelDecisionEngine
+from repro.core.engine import DecisionEngine
 from repro.core.summarizability import is_summarizable_in_schema
 from repro.generators.random_schema import (
     RandomSchemaConfig,
@@ -94,7 +95,7 @@ from repro.generators.workloads import implication_workload, summarizability_wor
 
 SCHEMAS = suite_schemas()
 
-#: Random schemas for the parallel batch benchmark (the navigator asks
+#: Random schemas for the batch benchmark (the navigator asks
 #: the same questions over and over; ``BATCH_REPEATS`` models that).
 BATCH_SCHEMAS = schemas_by_size([5, 6, 7], RandomSchemaConfig(seed=11))
 BATCH_REPEATS = 3
@@ -154,16 +155,12 @@ def test_implication_workload(benchmark, name):
     assert any(verdicts)
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_parallel_batch_workload(benchmark, workers):
-    """The engine's batch path at 1 and 4 workers (fresh cache per run)."""
+def test_batch_workload(benchmark):
+    """The engine's batch path (fresh cache per run)."""
     batch = _batch_workload()
 
     def run():
-        with ParallelDecisionEngine(
-            max_workers=workers, cache=DecisionCache()
-        ) as engine:
-            return engine.decide_many(batch)
+        return DecisionEngine(cache=DecisionCache()).decide_many(batch)
 
     verdicts = benchmark(run)
     assert len(verdicts) == len(batch)
@@ -275,15 +272,17 @@ def _quick_smoke(output_path, repeats=3, n_queries=10):
     return report
 
 
-def _parallel_smoke(output_path, repeats=7):
-    """Sequential kernel vs ``decide_many`` on the random-schema batch.
+def _batch_smoke(output_path, repeats=7):
+    """Uncached per-request kernel vs ``decide_many`` on the random-schema batch.
 
-    Both paths answer the identical batch; the engine runs it as one
-    deduped concurrent batch at 4 workers over a fresh decision cache.
-    Verdicts must be byte-identical (compared on their canonical JSON
-    encoding, which is what BENCH_2.json records); the gate fails below
-    a 2x speedup on the process CPU clock (interleaved repeats, median
-    per-pair ratio - stable on noisy shared runners).
+    Both paths answer the identical batch; the engine dedups it (each
+    question appears ``BATCH_REPEATS`` times) and answers the unique
+    requests in order through a fresh decision cache, so the speedup
+    measures batch dedup plus caching.  Verdicts must be byte-identical
+    (compared on their canonical JSON encoding, which is what
+    BENCH_2.json records); the gate fails below a 2x speedup on the
+    process CPU clock (interleaved repeats, median per-pair ratio -
+    stable on noisy shared runners).
 
     A final pass re-answers the batch with the trace layer enabled: its
     verdicts must be byte-identical too (tracing observes, never
@@ -299,20 +298,16 @@ def _parallel_smoke(output_path, repeats=7):
         verdicts = _sequential_kernel_answers(batch)
         return time.process_time() - cpu, verdicts
 
-    def time_parallel():
+    def time_batch():
         cpu = time.process_time()
-        with ParallelDecisionEngine(
-            max_workers=4, cache=DecisionCache()
-        ) as engine:
-            verdicts = engine.decide_many(batch)
-            stats = engine.stats
-        return time.process_time() - cpu, verdicts, stats
+        verdicts = DecisionEngine(cache=DecisionCache()).decide_many(batch)
+        return time.process_time() - cpu, verdicts
 
-    time_sequential()  # warm-up (imports, pool spin-up)
-    time_parallel()
+    time_sequential()  # warm-up (imports)
+    time_batch()
     sequential_times = []
-    parallel_times = []
-    sequential_verdicts = parallel_verdicts = engine_stats = None
+    batch_times = []
+    sequential_verdicts = batch_verdicts = None
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -320,29 +315,26 @@ def _parallel_smoke(output_path, repeats=7):
             gc.collect()
             elapsed, sequential_verdicts = time_sequential()
             sequential_times.append(elapsed)
-            elapsed, parallel_verdicts, engine_stats = time_parallel()
-            parallel_times.append(elapsed)
+            elapsed, batch_verdicts = time_batch()
+            batch_times.append(elapsed)
     finally:
         if gc_was_enabled:
             gc.enable()
     sequential_s = min(sequential_times)
-    parallel_s = min(parallel_times)
+    batch_s = min(batch_times)
     speedup = statistics.median(
-        s / p for s, p in zip(sequential_times, parallel_times)
+        s / b for s, b in zip(sequential_times, batch_times)
     )
 
     sequential_bytes = json.dumps(sequential_verdicts).encode()
-    parallel_bytes = json.dumps(parallel_verdicts).encode()
-    if sequential_bytes != parallel_bytes:
+    batch_bytes = json.dumps(batch_verdicts).encode()
+    if sequential_bytes != batch_bytes:
         raise AssertionError(
-            "parallel batch verdicts diverge from the sequential kernel"
+            "batch verdicts diverge from the sequential kernel"
         )
 
     with tracing():
-        with ParallelDecisionEngine(
-            max_workers=4, cache=DecisionCache()
-        ) as engine:
-            traced_verdicts = engine.decide_many(batch)
+        traced_verdicts = DecisionEngine(cache=DecisionCache()).decide_many(batch)
         trace_summary = tracer().summary()
         trace_events = len(tracer().events())
     traced_bytes = json.dumps(traced_verdicts).encode()
@@ -352,25 +344,21 @@ def _parallel_smoke(output_path, repeats=7):
         )
 
     report = {
-        "benchmark": "parallel batch decisions (random-schema workload)",
+        "benchmark": "batch dedup plus cache vs. uncached per-request "
+        "kernel (random-schema workload)",
         "baseline": "per-request sequential kernel, uncached",
-        "parallel": "ParallelDecisionEngine.decide_many, 4 workers, "
-        "fresh DecisionCache per run",
+        "batch": "DecisionEngine.decide_many: dedup by (fingerprint, "
+        "request), fresh DecisionCache per run",
         "requests": len(batch),
         "unique_requests": len(batch) // BATCH_REPEATS,
         "repeats": repeats,
         "timing": "interleaved repeats after one warm-up run each, "
         "process CPU clock; speedup is the median per-pair ratio",
         "sequential_s": sequential_s,
-        "parallel_s": parallel_s,
+        "batch_s": batch_s,
         "speedup": speedup,
         "verdicts_identical": True,
-        "verdicts": json.loads(parallel_bytes.decode()),
-        "engine_stats": {
-            "batch_requests": engine_stats.batch_requests,
-            "batch_deduped": engine_stats.batch_deduped,
-            "tasks_dispatched": engine_stats.tasks_dispatched,
-        },
+        "verdicts": json.loads(batch_bytes.decode()),
         "tracing": {
             "verdicts_identical": True,
             "events": trace_events,
@@ -384,7 +372,7 @@ def _parallel_smoke(output_path, repeats=7):
 def _resilience_smoke(output_path, repeats=7):
     """Fault-free resilience overhead plus a faulted correctness pass.
 
-    The resilient engine wraps the parallel engine with a retry/breaker
+    The resilient engine wraps the decision engine with a retry/breaker
     ladder; when nothing faults, that machinery must cost (almost)
     nothing.  Both engines answer the identical batch (fresh
     :class:`~repro.core.decisioncache.DecisionCache` per run); verdicts
@@ -406,23 +394,18 @@ def _resilience_smoke(output_path, repeats=7):
 
     def time_plain():
         cpu = time.process_time()
-        with ParallelDecisionEngine(
-            max_workers=4, cache=DecisionCache()
-        ) as engine:
-            verdicts = engine.decide_many(batch)
+        verdicts = DecisionEngine(cache=DecisionCache()).decide_many(batch)
         return time.process_time() - cpu, verdicts
 
     fast_retry = RetryPolicy(max_attempts=3, base_delay_ms=0.0, max_delay_ms=0.0)
 
     def time_resilient():
         cpu = time.process_time()
-        with ResilientDecisionEngine(
-            retry=fast_retry, max_workers=4, cache=DecisionCache()
-        ) as engine:
-            verdicts = engine.decide_many(batch)
+        engine = ResilientDecisionEngine(retry=fast_retry, cache=DecisionCache())
+        verdicts = engine.decide_many(batch)
         return time.process_time() - cpu, verdicts
 
-    time_plain()  # warm-up (imports, pool spin-up)
+    time_plain()  # warm-up (imports)
     time_resilient()
     # Interleave the two engines so slow-machine noise hits both
     # evenly, and keep the collector from firing mid-sample.
@@ -480,21 +463,19 @@ def _resilience_smoke(output_path, repeats=7):
 
     # Faulted pass: worker crashes + cache-store failures, fixed seed
     # (the schedule the differential suite's hammer replays in CI).
-    with ResilientDecisionEngine(
-        retry=fast_retry, max_workers=4, mode="thread", cache=DecisionCache()
-    ) as engine:
-        with inject_faults(
-            "worker-crash:p=0.3,after=5;cache-store:p=0.3;seed=20020601"
-        ) as injector:
-            outcomes = engine.decide_many_outcomes(batch)
-        fired = dict(injector.fired())
-        unknown = sum(1 for o in outcomes if o.unknown)
-        wrong = sum(
-            1
-            for o, expected in zip(outcomes, plain_verdicts)
-            if o.ok and o.verdict != expected
-        )
-        faulted_stats = engine.stats
+    engine = ResilientDecisionEngine(retry=fast_retry, cache=DecisionCache())
+    with inject_faults(
+        "worker-crash:p=0.3,after=5;cache-store:p=0.3;seed=20020601"
+    ) as injector:
+        outcomes = engine.decide_many_outcomes(batch)
+    fired = dict(injector.fired())
+    unknown = sum(1 for o in outcomes if o.unknown)
+    wrong = sum(
+        1
+        for o, expected in zip(outcomes, plain_verdicts)
+        if o.ok and o.verdict != expected
+    )
+    faulted_stats = engine.stats
     if wrong:
         raise AssertionError(
             f"faulted pass returned {wrong} wrong verdicts (never acceptable)"
@@ -502,8 +483,7 @@ def _resilience_smoke(output_path, repeats=7):
 
     report = {
         "benchmark": "resilient engine overhead (random-schema workload)",
-        "baseline": "ParallelDecisionEngine.decide_many, 4 workers, "
-        "fresh DecisionCache per run",
+        "baseline": "DecisionEngine.decide_many, fresh DecisionCache per run",
         "resilient": "ResilientDecisionEngine (retry ladder + breaker), "
         "fault-free, same workload",
         "requests": len(batch),
@@ -551,12 +531,9 @@ def _telemetry_smoke(output_path, telemetry_dir=None, repeats=7):
     batch = _batch_workload()
 
     def run_batch():
-        with ParallelDecisionEngine(
-            max_workers=4, cache=DecisionCache()
-        ) as engine:
-            return engine.decide_many(batch)
+        return DecisionEngine(cache=DecisionCache()).decide_many(batch)
 
-    reference_verdicts = run_batch()  # warm-up (imports, pool spin-up)
+    reference_verdicts = run_batch()  # warm-up (imports)
 
     if telemetry_dir is None:
         telemetry_dir = tempfile.mkdtemp(prefix="repro-telemetry-")
@@ -655,8 +632,8 @@ def _telemetry_smoke(output_path, telemetry_dir=None, repeats=7):
 
     report = {
         "benchmark": "telemetry exporter overhead (random-schema workload)",
-        "baseline": "ParallelDecisionEngine.decide_many, 4 workers, "
-        "tracing enabled, no exporters",
+        "baseline": "DecisionEngine.decide_many, tracing enabled, "
+        "no exporters",
         "telemetry": "same workload with TelemetryPipeline installed "
         "(spans + events + audit streamed through the background writer)",
         "requests": len(batch),
@@ -1130,9 +1107,7 @@ def _server_smoke(output_path, clients=8, rounds=3, iterations=4):
     from repro.generators.location import location_schema
 
     schema = location_schema()
-    engine = ResilientDecisionEngine(
-        ParallelDecisionEngine(max_workers=2, cache=DecisionCache())
-    )
+    engine = ResilientDecisionEngine(cache=DecisionCache())
     server = DecisionServer(engine=engine, max_inflight=clients)
     server_thread = threading.Thread(target=server.run, daemon=True)
     server_thread.start()
@@ -1251,7 +1226,6 @@ def _server_smoke(output_path, clients=8, rounds=3, iterations=4):
     finally:
         server.request_shutdown()
         server_thread.join(10)
-        engine.shutdown()
     if server_thread.is_alive():
         raise AssertionError("decision server did not stop")
     if mismatches:
@@ -1331,17 +1305,17 @@ def _main(argv=None):
     print("OK: no regression")
 
     bench2_path = output_path.with_name("BENCH_2.json")
-    parallel = _parallel_smoke(bench2_path)
+    batched = _batch_smoke(bench2_path)
     print(
-        f"parallel batch benchmark: sequential "
-        f"{parallel['sequential_s'] * 1000:.1f} ms, batch (4 workers) "
-        f"{parallel['parallel_s'] * 1000:.1f} ms "
-        f"({parallel['speedup']:.1f}x), report -> {bench2_path}"
+        f"batch benchmark (dedup plus cache): uncached kernel "
+        f"{batched['sequential_s'] * 1000:.1f} ms, batch "
+        f"{batched['batch_s'] * 1000:.1f} ms "
+        f"({batched['speedup']:.1f}x), report -> {bench2_path}"
     )
-    if parallel["speedup"] < 2.0:
-        print("FAIL: parallel batch speedup below 2x")
+    if batched["speedup"] < 2.0:
+        print("FAIL: batch speedup below 2x")
         return 1
-    print("OK: parallel batch at or above 2x with identical verdicts")
+    print("OK: batch at or above 2x with identical verdicts")
 
     bench4_path = output_path.with_name("BENCH_4.json")
     resilience = _resilience_smoke(bench4_path)
@@ -1445,7 +1419,7 @@ def _main(argv=None):
         "warm hits"
     )
     hot = sorted(
-        parallel["trace_summary"].items(),
+        batched["trace_summary"].items(),
         key=lambda kv: kv[1]["total_ms"],
         reverse=True,
     )[:5]

@@ -106,7 +106,7 @@ from repro.core import (
     CompilationError,
     CompiledDecisionEngine,
     DecisionBudget,
-    ParallelDecisionEngine,
+    DecisionEngine,
     ResilientDecisionEngine,
     RetryPolicy,
     compiled_artifact_store,
@@ -139,29 +139,24 @@ def _budget_from_args(args: argparse.Namespace) -> Optional[DecisionBudget]:
 
 
 def _engine_from_args(args: argparse.Namespace):
-    """The decision engine ``--workers``/``--budget-ms``/``--retries``
+    """The decision engine ``--engine``/``--budget-ms``/``--retries``
     asked for, else ``None`` (the plain sequential entry points).
 
-    ``--retries`` wraps the parallel engine in a
+    ``--retries`` wraps the engine in a
     :class:`~repro.core.resilience.ResilientDecisionEngine`: transient
-    failures are retried with backoff, a persistently failing pool
-    degrades to the sequential kernel, and a decision no rung can serve
-    exits with code 4 instead of a traceback.
+    failures are retried with backoff, a persistently failing primary
+    engine degrades to the sequential kernel, and a decision no rung can
+    serve exits with code 4 instead of a traceback.
     """
-    workers = getattr(args, "workers", None)
     budget = _budget_from_args(args)
     retries = getattr(args, "retries", None)
     engine_name = getattr(args, "engine", None)
     if engine_name == "compiled":
         engine = CompiledDecisionEngine(budget=budget)
-    elif engine_name == "parallel":
-        engine = ParallelDecisionEngine(max_workers=workers or 2, budget=budget)
-    elif engine_name == "sequential":
-        engine = ParallelDecisionEngine(max_workers=1, budget=budget)
-    elif workers is None and budget is None and retries is None:
+    elif engine_name is None and budget is None and retries is None:
         return None
     else:
-        engine = ParallelDecisionEngine(max_workers=workers or 1, budget=budget)
+        engine = DecisionEngine(budget=budget)
     if retries is None:
         return engine
     return ResilientDecisionEngine(
@@ -174,18 +169,15 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     engine = _engine_from_args(args)
     unknown = 0
     if engine is not None:
-        with engine:
-            categories = [
-                c for c in sorted(schema.hierarchy.categories) if c != ALL
-            ]
-            requests = [(schema, ("dimsat", c)) for c in categories]
-            if hasattr(engine, "decide_many_outcomes"):
-                # Resilient engine: a category no rung could decide shows
-                # as UNKN instead of killing the audit.
-                outcomes = engine.decide_many_outcomes(requests)
-                verdicts = [o.verdict for o in outcomes]
-            else:
-                verdicts = engine.decide_many(requests)
+        categories = [c for c in sorted(schema.hierarchy.categories) if c != ALL]
+        requests = [(schema, ("dimsat", c)) for c in categories]
+        if hasattr(engine, "decide_many_outcomes"):
+            # Resilient engine: a category no rung could decide shows
+            # as UNKN instead of killing the audit.
+            outcomes = engine.decide_many_outcomes(requests)
+            verdicts = [o.verdict for o in outcomes]
+        else:
+            verdicts = engine.decide_many(requests)
         report = dict(zip(categories, verdicts))
         report[ALL] = True
     else:
@@ -216,8 +208,7 @@ def _cmd_implies(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
     engine = _engine_from_args(args)
     if engine is not None:
-        with engine:
-            result = engine.implies(schema, args.constraint)
+        result = engine.implies(schema, args.constraint)
     else:
         result = implies(schema, args.constraint)
     if result.implied:
@@ -233,8 +224,7 @@ def _cmd_summarizable(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
     engine = _engine_from_args(args)
     if engine is not None:
-        with engine:
-            verdict = engine.is_summarizable(schema, args.target, args.sources)
+        verdict = engine.is_summarizable(schema, args.target, args.sources)
     else:
         verdict = is_summarizable_in_schema(schema, args.target, args.sources)
     print("yes" if verdict else "no")
@@ -438,8 +428,7 @@ def _cmd_satisfiable(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
     engine = _engine_from_args(args)
     if engine is not None:
-        with engine:
-            result = engine.dimsat(schema, args.category)
+        result = engine.dimsat(schema, args.category)
     else:
         result = dimsat(schema, args.category)
     if result.satisfiable:
@@ -486,7 +475,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         seed=args.seed,
         families=args.families,
         per_family=args.per_family,
-        workers=getattr(args, "workers", None) or 2,
         retries=getattr(args, "retries", None) or 3,
         budget_ms=getattr(args, "budget_ms", None),
         check_every=args.check_every,
@@ -510,14 +498,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.core.server import DecisionServer
 
-    engine = _engine_from_args(args)
-    if engine is None:
-        engine = ResilientDecisionEngine(
-            max_workers=getattr(args, "workers", None) or 2,
-            budget=_budget_from_args(args),
-        )
     server = DecisionServer(
-        engine=engine,
+        engine=_engine_from_args(args),
         host=args.host,
         port=args.port,
         cache_dir=getattr(args, "cache_dir", None),
@@ -540,10 +522,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         finally:
             await server.stop()
 
-    try:
-        asyncio.run(_run())
-    finally:
-        server.engine.shutdown()
+    asyncio.run(_run())
     print("server stopped", file=sys.stderr)
     return 0
 
@@ -632,15 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(checksum and schema-fingerprint checks still apply)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="decide through a parallel engine with N workers "
-        "(audit batches all categories; implies/summarizable/satisfiable "
-        "fan out their internal branches)",
-    )
-    parser.add_argument(
         "--budget-ms",
         type=float,
         default=None,
@@ -656,19 +626,18 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="serve decisions through the resilient engine: up to N "
         "attempts per ladder rung with exponential backoff, sequential "
-        "degradation when the parallel engine keeps failing, and exit "
+        "degradation when the primary engine keeps failing, and exit "
         "code 4 when no rung could produce a verdict",
     )
     parser.add_argument(
         "--engine",
-        choices=["compiled", "parallel", "sequential"],
+        choices=["compiled", "sequential"],
         default=None,
         help="decide through an explicit engine: 'compiled' serves "
         "verdicts from the per-schema compiled decision artifact "
         "(incremental SAT with learned-clause reuse, interpreted-kernel "
-        "fallback), 'parallel' fans out over a worker pool "
-        "(honoring --workers), 'sequential' pins the service path to "
-        "one worker",
+        "fallback), 'sequential' through the cached interpreted kernel "
+        "(the service's default engine)",
     )
     parser.add_argument(
         "--inject-faults",
@@ -677,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="activate the deterministic fault-injection harness for the "
         "command (testing/drills); SPEC is 'kind[:field=value,...];...' "
         "with kinds worker-crash, slow-worker, oserror, cache-store, "
-        "pool-exhaustion, e.g. 'worker-crash:p=0.3;seed=7'",
+        "e.g. 'worker-crash:p=0.3;seed=7'",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -857,17 +826,13 @@ def build_parser() -> argparse.ArgumentParser:
     # never clobbers values the parent parser already captured.
     soak.add_argument(
         "--engine",
-        choices=["compiled", "parallel", "sequential"],
+        choices=["compiled", "sequential"],
         default=argparse.SUPPRESS,
         help="engine behind the resilience ladder (default compiled)",
     )
     soak.add_argument(
         "--inject-faults", metavar="SPEC", default=argparse.SUPPRESS,
         help="deterministic fault spec for the whole soak",
-    )
-    soak.add_argument(
-        "--workers", type=int, metavar="N", default=argparse.SUPPRESS,
-        help="worker count for the parallel engine (default 2)",
     )
     soak.add_argument(
         "--budget-ms", type=float, metavar="MS", default=argparse.SUPPRESS,

@@ -13,7 +13,7 @@ re-derive that verdict from scratch.  This module provides exactly that:
   ``--telemetry-dir``, or :func:`repro.core.telemetry.TelemetryPipeline.
   install`), every decision that flows through the
   :class:`~repro.core.decisioncache.DecisionCache`, the uncached engine
-  path (:func:`repro.core.parallel._decide`), or the resilience ladder's
+  path (:class:`repro.core.engine.DecisionEngine`), or the resilience ladder's
   UNKNOWN rung appends one JSONL record with the schema fingerprint, the
   canonical request, the verdict, the duration, the cache-hit flag, and
   - for UNKNOWNs - the full :class:`~repro.core.resilience.AttemptRecord`

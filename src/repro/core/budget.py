@@ -1,62 +1,41 @@
-"""Per-decision work budgets and cooperative cancellation.
+"""Per-decision work budgets.
 
 Every decision the kernel serves - DIMSAT, implication, schema-level
 summarizability - is a bounded but potentially exponential search.  A
-service answering heavy multi-query traffic needs two robustness
-controls the paper's offline setting never did:
+service answering heavy multi-query traffic needs a robustness control
+the paper's offline setting never did: a ceiling on the work one
+decision may consume, expressed in search nodes (EXPAND calls) and/or
+wall-clock milliseconds.  When the ceiling is hit the search raises
+:class:`~repro.errors.BudgetExceeded` instead of returning a
+possibly-wrong verdict; nothing is cached for the aborted decision, so a
+later retry with a larger budget is correct.
 
-* **budgets** - a ceiling on the work one decision may consume, expressed
-  in search nodes (EXPAND calls) and/or wall-clock milliseconds.  When the
-  ceiling is hit the search raises :class:`~repro.errors.BudgetExceeded`
-  instead of returning a possibly-wrong verdict; nothing is cached for the
-  aborted decision, so a later retry with a larger budget is correct.
-* **cooperative cancellation** - when several branches of one decision run
-  concurrently (the :class:`~repro.core.parallel.ParallelDecisionEngine`
-  fan-out) and one of them settles the answer, the losers are told to stop
-  at their next budget checkpoint via :meth:`DecisionBudget.cancel`.
-
-One :class:`DecisionBudget` instance covers one *decision*: concurrent
-branches of that decision share the node counter (the budget bounds the
-decision's total work, not each branch's), and all of them observe the
-same cancellation flag.  Budgets are deliberately not hashable cache-key
-material - they never change a verdict, only whether one is reached.
+One :class:`DecisionBudget` instance covers one *decision*: every
+implication test of a summarizability decision charges the same node
+counter (the budget bounds the decision's total work, not each test's).
+Budgets are deliberately not hashable cache-key material - they never
+change a verdict, only whether one is reached.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.core.metrics import METRICS
-from repro.errors import BudgetExceeded, ReproError
+from repro.errors import BudgetExceeded
 
 #: Consumption metrics, updated only at decision boundaries (exhaustion,
-#: cancellation, :meth:`DecisionBudget.publish`) - never inside the hot
-#: per-node ``charge`` checkpoint.
+#: :meth:`DecisionBudget.publish`) - never inside the hot per-node
+#: ``charge`` checkpoint.
 _M_EXCEEDED = METRICS.counter("budget.exceeded")
-_M_CANCELLED = METRICS.counter("budget.cancelled")
 _G_LAST_NODES = METRICS.gauge("budget.last_nodes_charged")
 _H_NODES = METRICS.histogram("budget.nodes_per_decision")
 
 
-class DecisionCancelled(ReproError):
-    """A concurrently-running branch was told to stop.
-
-    This is control flow, not failure: the engine raises it in losing
-    branches once a sibling has settled the decision.  It never escapes
-    the engine's public API.
-    """
-
-
-#: Picklable description of a budget: ``(max_nodes, time_ms)``.  Process
-#: workers rebuild a fresh :class:`DecisionBudget` from this (locks and
-#: events do not cross process boundaries).
-BudgetSpec = Tuple[Optional[int], Optional[float]]
-
-
 class DecisionBudget:
-    """A node/time ceiling for one decision, shared by its branches.
+    """A node/time ceiling for one decision.
 
     Parameters
     ----------
@@ -68,13 +47,11 @@ class DecisionBudget:
         Wall-clock allowance in milliseconds, measured from construction;
         ``None`` means unbounded.
 
-    The budget is thread-safe: branches running on a pool charge the same
-    counter.  :meth:`charge` is the single checkpoint - it raises
-    :class:`~repro.errors.BudgetExceeded` when a ceiling is hit and
-    :class:`DecisionCancelled` when :meth:`cancel` was called.
+    The budget is thread-safe.  :meth:`charge` is the single checkpoint -
+    it raises :class:`~repro.errors.BudgetExceeded` when a ceiling is hit.
     """
 
-    __slots__ = ("max_nodes", "time_ms", "_deadline", "_nodes", "_lock", "_cancel")
+    __slots__ = ("max_nodes", "time_ms", "_deadline", "_nodes", "_lock")
 
     def __init__(
         self,
@@ -92,21 +69,15 @@ class DecisionBudget:
         )
         self._nodes = 0
         self._lock = threading.Lock()
-        self._cancel = threading.Event()
 
     # ------------------------------------------------------------------
     # The checkpoint
     # ------------------------------------------------------------------
 
     def charge(self, nodes: int = 1) -> None:
-        """Account for ``nodes`` units of work; raise when over budget.
-
-        Raises :class:`DecisionCancelled` first (a cancelled branch's
-        work no longer matters), then :class:`BudgetExceeded` on a blown
-        deadline or node ceiling.
-        """
-        if self._cancel.is_set():
-            raise DecisionCancelled("decision branch cancelled")
+        """Account for ``nodes`` units of work; raise
+        :class:`~repro.errors.BudgetExceeded` on a blown deadline or node
+        ceiling."""
         if self._deadline is not None and time.monotonic() > self._deadline:
             self.publish()
             _M_EXCEEDED.inc()
@@ -128,35 +99,19 @@ class DecisionBudget:
                 self._nodes += nodes
 
     # ------------------------------------------------------------------
-    # Cancellation
-    # ------------------------------------------------------------------
-
-    def cancel(self) -> None:
-        """Tell every branch sharing this budget to stop at its next
-        checkpoint."""
-        if not self._cancel.is_set():
-            _M_CANCELLED.inc()
-        self._cancel.set()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancel.is_set()
-
-    # ------------------------------------------------------------------
     # Introspection and derivation
     # ------------------------------------------------------------------
 
     @property
     def nodes_charged(self) -> int:
-        """Total nodes charged so far (across every branch)."""
+        """Total nodes charged so far."""
         return self._nodes
 
     def publish(self) -> None:
         """Record this budget's consumption in the process-wide metrics
         (``budget.last_nodes_charged`` gauge and
         ``budget.nodes_per_decision`` histogram).  Called automatically
-        when a ceiling is hit and by the parallel engine when a budgeted
-        decision finishes."""
+        when a ceiling is hit."""
         nodes = self._nodes
         _G_LAST_NODES.set(nodes)
         _H_NODES.observe(nodes)
@@ -172,12 +127,7 @@ class DecisionBudget:
             "max_nodes": self.max_nodes,
             "time_ms": self.time_ms,
             "nodes_charged": self._nodes,
-            "cancelled": self._cancel.is_set(),
         }
-
-    def spec(self) -> BudgetSpec:
-        """The picklable ``(max_nodes, time_ms)`` description."""
-        return (self.max_nodes, self.time_ms)
 
     def fresh(self) -> "DecisionBudget":
         """A new budget with the same limits and a restarted clock.
@@ -187,14 +137,6 @@ class DecisionBudget:
         starve the next.
         """
         return DecisionBudget(self.max_nodes, self.time_ms)
-
-    @classmethod
-    def from_spec(cls, spec: Optional[BudgetSpec]) -> Optional["DecisionBudget"]:
-        """Rebuild a budget shipped across a process boundary."""
-        if spec is None:
-            return None
-        max_nodes, time_ms = spec
-        return cls(max_nodes=max_nodes, time_ms=time_ms)
 
     def __repr__(self) -> str:
         return (

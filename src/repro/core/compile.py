@@ -30,10 +30,10 @@ artifact:
 
 :class:`CompiledDecisionEngine` wires the artifact into the existing
 stack: verdicts memoize through the same
-:class:`~repro.core.decisioncache.DecisionCache` keys the sequential and
-parallel engines use (so caches interoperate and verdicts stay
-byte-identical), trace spans and metrics flow through the PR 3
-observability layer, every served verdict lands in the PR 5 audit log
+:class:`~repro.core.decisioncache.DecisionCache` keys the sequential
+engine uses (so caches interoperate and verdicts stay byte-identical),
+trace spans and metrics flow through the observability layer, every
+served verdict lands in the audit log
 (replayable by ``repro-olap audit-verify``), and any compilation failure
 - a numeric category, a query with comparison atoms, a subhierarchy
 explosion, a witness the closures reject - degrades to the interpreted
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -82,11 +81,7 @@ from repro.constraints.parser import parse
 from repro.constraints.printer import unparse
 from repro.core.auditlog import AUDIT
 from repro.core.budget import DecisionBudget
-from repro.core.decisioncache import (
-    USE_DEFAULT_CACHE,
-    _options_key,
-    resolve_cache,
-)
+from repro.core.decisioncache import USE_DEFAULT_CACHE
 from repro.core.dimsat import (
     DimsatOptions,
     DimsatResult,
@@ -98,6 +93,7 @@ from repro.core.dimsat import (
     dimsat as run_dimsat,
     reduced_constraints,
 )
+from repro.core.engine import DecisionEngine
 from repro.core.frozen import FrozenDimension, Subhierarchy
 from repro.core.hierarchy import ALL, Category
 from repro.core.implication import ImplicationResult, implies as run_implies
@@ -747,19 +743,18 @@ class CompiledEngineStats:
         }
 
 
-class CompiledDecisionEngine:
+class CompiledDecisionEngine(DecisionEngine):
     """The compiled rung of the decision stack.
 
-    API-compatible with
-    :class:`~repro.core.parallel.ParallelDecisionEngine` where the upper
-    layers care: the navigator and view selection batch through
-    :meth:`decide_many`, and
+    A :class:`~repro.core.engine.DecisionEngine` whose cold verdicts come
+    from the compiled artifact: the navigator and view selection batch
+    through the inherited :meth:`decide_many`, and
     :class:`~repro.core.resilience.ResilientDecisionEngine` can wrap it
     as its primary rung (compile failures then ride the existing
     degradation ladder).  Verdicts memoize through the shared
     :class:`~repro.core.decisioncache.DecisionCache` under the *same
-    keys* as the sequential and parallel engines - the compiled tier
-    changes where cold verdicts come from, never what they are.
+    keys* as the sequential engine - the compiled tier changes where
+    cold verdicts come from, never what they are.
 
     The compiled tier always decides under default
     :class:`~repro.core.dimsat.DimsatOptions` (``options`` is pinned to
@@ -773,53 +768,10 @@ class CompiledDecisionEngine:
         budget: Optional[DecisionBudget] = None,
         store: Optional[CompiledArtifactStore] = None,
     ) -> None:
-        self.cache = resolve_cache(cache)
-        self.options: Optional[DimsatOptions] = None
-        self._options_key = _options_key(self.options)
-        self.budget_template = budget
+        super().__init__(budget=budget, cache=cache)
         self.store = store if store is not None else compiled_artifact_store()
         self.stats = CompiledEngineStats()
         self._lock = threading.Lock()
-
-    # -- engine-protocol plumbing ---------------------------------------
-
-    def shutdown(self, wait_for_tasks: bool = True) -> None:
-        """No pools to tear down; present for engine-protocol parity."""
-
-    def __enter__(self) -> "CompiledDecisionEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
-
-    def _fresh_budget(self) -> Optional[DecisionBudget]:
-        if self.budget_template is None:
-            return None
-        return self.budget_template.fresh()
-
-    # -- memoization / audit glue ---------------------------------------
-
-    def _memoized(
-        self,
-        schema: DimensionSchema,
-        key: Tuple[object, ...],
-        compute: Callable[[], object],
-    ) -> object:
-        if self.cache is not None:
-            return self.cache.memoize(schema, key, compute)
-        if AUDIT.enabled:
-            start = time.perf_counter()
-            value = compute()
-            AUDIT.record_decision(
-                schema,
-                key[:-1],
-                key[-1],
-                value,
-                (time.perf_counter() - start) * 1000.0,
-                cache_hit=False,
-            )
-            return value
-        return compute()
 
     def _note_fallback(self, kind: str, error: CompilationError) -> None:
         with self._lock:
@@ -855,7 +807,7 @@ class CompiledDecisionEngine:
                 span.set(satisfiable=satisfiable)
         except CompilationError as error:
             self._note_fallback("dimsat", error)
-            return run_dimsat(schema, category, None, self._fresh_budget())
+            return run_dimsat(schema, category, None, self.fresh_budget())
         # Advisory hot-path counter: a plain increment (GIL-coalesced)
         # instead of a lock round-trip on every served decision.
         self.stats.compiled_decisions += 1
@@ -901,7 +853,7 @@ class CompiledDecisionEngine:
         except CompilationError as error:
             self._note_fallback("implies", error)
             return run_implies(
-                schema, node, None, cache=None, budget=self._fresh_budget()
+                schema, node, None, cache=None, budget=self.fresh_budget()
             )
         # Advisory hot-path counter: a plain increment (GIL-coalesced)
         # instead of a lock round-trip on every served decision.
@@ -914,14 +866,6 @@ class CompiledDecisionEngine:
                 satisfiable=satisfiable, witness=witness, stats=DimsatStats()
             ),
         )
-
-    def is_implied(self, schema: DimensionSchema, constraint: object) -> bool:
-        return self.implies(schema, constraint).implied
-
-    def is_satisfiable(
-        self, schema: DimensionSchema, category: Category
-    ) -> bool:
-        return self.dimsat(schema, category).satisfiable
 
     def is_summarizable(
         self,
@@ -969,58 +913,6 @@ class CompiledDecisionEngine:
                     return False
             span.set(summarizable=True)
         return True
-
-    # -- the batch API ---------------------------------------------------
-
-    def decide_many(
-        self,
-        items: Iterable[Tuple[DimensionSchema, Sequence[object]]],
-    ) -> List[bool]:
-        """Batch verdicts aligned with the input order (the navigator /
-        view-selection entry point).  Requests are normalized and deduped
-        like the parallel engine's batches; each unique request is one
-        artifact decision."""
-        results = self.try_decide_many(items)
-        for result in results:
-            if isinstance(result, BaseException):
-                raise result
-        return results  # type: ignore[return-value]
-
-    def try_decide_many(
-        self,
-        items: Iterable[Tuple[DimensionSchema, Sequence[object]]],
-    ) -> List[object]:
-        """:meth:`decide_many` with per-request fault containment."""
-        from repro.core.parallel import normalize_request
-
-        pairs = [
-            (schema, normalize_request(request)) for schema, request in items
-        ]
-        answered: Dict[Tuple[str, Tuple[object, ...]], object] = {}
-        out: List[object] = []
-        for schema, request in pairs:
-            ukey = (schema.fingerprint(), request)
-            if ukey not in answered:
-                try:
-                    answered[ukey] = self._decide_one(schema, request)
-                except Exception as error:  # noqa: BLE001 - contained per request
-                    answered[ukey] = error
-            out.append(answered[ukey])
-        return out
-
-    def _decide_one(
-        self, schema: DimensionSchema, request: Tuple[object, ...]
-    ) -> bool:
-        kind = request[0]
-        if kind == "dimsat":
-            return self.dimsat(schema, request[1]).satisfiable  # type: ignore[arg-type]
-        if kind == "implies":
-            return self.implies(schema, request[1]).implied
-        if kind == "summarizable":
-            return self.is_summarizable(
-                schema, request[1], tuple(request[2])  # type: ignore[arg-type]
-            )
-        raise SchemaError(f"unknown decision request kind {kind!r}")
 
 
 def resolve_engine(engine: object, cache: object = USE_DEFAULT_CACHE) -> object:

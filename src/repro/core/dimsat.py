@@ -113,22 +113,9 @@ class DimsatOptions:
     circle_cache: bool = True
 
 
-#: One process-wide lock for every :class:`DimsatStats` instance.  A
-#: module-level lock (rather than a per-instance one) keeps the dataclass
-#: picklable for process-pool workers and its generated ``__eq__`` exact;
-#: counter increments are rare enough that contention is negligible.
-_STATS_LOCK = threading.Lock()
-
-
 @dataclass
 class DimsatStats:
-    """Work counters for one DIMSAT run.
-
-    Counters are updated through :meth:`incr`, which is atomic: the
-    parallel decision engine runs several branches of one search - all
-    sharing this object - on a thread pool, and a plain ``+=`` would lose
-    updates under that interleaving.
-    """
+    """Work counters for one DIMSAT run (owned by that run's search)."""
 
     expand_calls: int = 0
     check_calls: int = 0
@@ -141,29 +128,26 @@ class DimsatStats:
     circle_misses: int = 0
 
     def incr(self, counter: str, delta: int = 1) -> None:
-        """Atomically add ``delta`` to the named counter."""
-        with _STATS_LOCK:
-            setattr(self, counter, getattr(self, counter) + delta)
+        """Add ``delta`` to the named counter."""
+        setattr(self, counter, getattr(self, counter) + delta)
 
     def merge(self, other: "DimsatStats") -> None:
-        """Atomically fold another run's counters into this one (used when
-        aggregating per-branch or per-worker stats)."""
-        with _STATS_LOCK:
-            for field_name in (
-                "expand_calls",
-                "check_calls",
-                "assignments_tested",
-                "subhierarchies_completed",
-                "into_pruned_branches",
-                "dead_ends",
-                "circle_hits",
-                "circle_misses",
-            ):
-                setattr(
-                    self,
-                    field_name,
-                    getattr(self, field_name) + getattr(other, field_name),
-                )
+        """Fold another run's counters into this one."""
+        for field_name in (
+            "expand_calls",
+            "check_calls",
+            "assignments_tested",
+            "subhierarchies_completed",
+            "into_pruned_branches",
+            "dead_ends",
+            "circle_hits",
+            "circle_misses",
+        ):
+            setattr(
+                self,
+                field_name,
+                getattr(self, field_name) + getattr(other, field_name),
+            )
 
     @property
     def circle_hit_rate(self) -> float:
@@ -296,8 +280,8 @@ class CircleCache:
         self.hits = 0
         self.misses = 0
         self._data: Dict[Tuple[Node, Subhierarchy], Node] = {}
-        # The cache is process-wide and the parallel engine reduces from
-        # many threads at once; the lock guards the lookup/insert *and*
+        # The cache is process-wide and the server decides on several
+        # threads at once; the lock guards the lookup/insert *and*
         # the counters, so hits + misses always equals reduce() calls.
         self._lock = threading.Lock()
 
@@ -602,7 +586,6 @@ class _Search:
         self.budget = budget
         self.stats = DimsatStats()
         self.trace: List[TraceEntry] = []
-        self._trace_lock = threading.Lock()
         self.circle_cache = _CIRCLE_CACHE if options.circle_cache else None
 
     def _record(
@@ -623,8 +606,7 @@ class _Search:
             top=tuple(sorted(state.top)),
             succeeded=succeeded,
         )
-        with self._trace_lock:
-            self.trace.append(entry)
+        self.trace.append(entry)
 
     def _charge_expansion(self) -> None:
         """One EXPAND call's worth of accounting and budget checks."""
@@ -642,26 +624,6 @@ class _Search:
     def run(self) -> Iterator[FrozenDimension]:
         state = _GState.initial(self.category)
         yield from self._expand(state, self.category, frozenset())
-
-    def initial_jobs(self) -> Tuple[_GState, List[Tuple[_GState, Category, FrozenSet[Category]]]]:
-        """The root state and its first-level branch jobs.
-
-        This is the parallel engine's entry point: each returned job is an
-        independent ``(state, category, parents)`` continuation that can
-        run on its own worker via :meth:`expand_from`; together they cover
-        exactly the search :meth:`run` performs.  The root expansion is
-        charged here, mirroring ``_expand``'s prologue.
-        """
-        self._charge_expansion()
-        state = _GState.initial(self.category)
-        self._record("expand", state, self.category, frozenset())
-        return state, list(self._branch_jobs(state))
-
-    def expand_from(
-        self, job: Tuple[_GState, Category, FrozenSet[Category]]
-    ) -> Iterator[FrozenDimension]:
-        """Resume the search at one branch job (parallel fan-out)."""
-        yield from self._expand(*job)
 
     # The recursive EXPAND of Figure 6, as a generator so callers can stop
     # at the first frozen dimension (DIMSAT) or exhaust the space
@@ -726,9 +688,8 @@ class _Search:
         """The child expansions of one incomplete state (Figure 6 lines
         6-17), as ``(state, category, parents)`` jobs.
 
-        Factored out of ``_expand`` so the parallel engine can enumerate
-        the first level of branching and dispatch each job to a worker;
-        the sequential search simply recurses over them in order.
+        Factored out of ``_expand`` so the compiled tier's structural
+        enumeration walks exactly the branches the search recurses over.
         """
         if not state.top:
             # Only reachable with cycle pruning disabled: a cycle swallowed

@@ -1,9 +1,8 @@
 """Deterministic, seedable fault injection for the decision stack.
 
 A production decision service fails in ways the paper's offline setting
-never exercises: a pool worker dies mid-decision, a worker hangs long
-enough to blow a deadline, the cache store hiccups, the OS refuses to
-hand out another thread.  This module simulates exactly those failures
+never exercises: a decision dies mid-flight, a decision hangs long
+enough to blow a deadline, the cache store hiccups.  This module simulates exactly those failures
 *on demand*, so the resilience layer (:mod:`repro.core.resilience`) can
 be tested against them and latent bugs in the fault-free paths get
 flushed out.
@@ -26,10 +25,6 @@ Fault kinds
     cache treats a failed store as pure degradation: the computed verdict
     is still returned, nothing (and in particular nothing *wrong*) is
     stored.
-``pool-exhaustion``
-    :class:`PoolExhaustedFault` when an executor is created - the engine
-    degrades to its sequential fallback, exactly as it would when the OS
-    is out of threads or processes.
 
 Spec grammar (the CLI's ``--inject-faults``)
 --------------------------------------------
@@ -61,11 +56,7 @@ one attribute read and a ``None`` check when no injector is active
 Activate an injector for a region with :func:`inject_faults`::
 
     with inject_faults("worker-crash:p=0.5;seed=7"):
-        engine.decide_many(batch)   # some workers now crash
-
-Note: process-pool workers run in separate interpreters and do not see
-an injector activated in the parent after the pool forked; use thread
-mode (the default) for fault-injection testing.
+        engine.decide_many(batch)   # some decisions now crash
 """
 
 from __future__ import annotations
@@ -103,17 +94,12 @@ class CacheStoreFault(InjectedFault):
     """The decision cache's store step failed (injected)."""
 
 
-class PoolExhaustedFault(InjectedFault):
-    """Executor creation failed (injected): no workers available."""
-
-
 #: Recognized fault kinds and the site each one fires at.
 FAULT_KINDS: Dict[str, str] = {
     "worker-crash": "worker",
     "slow-worker": "worker",
     "oserror": "worker",
     "cache-store": "cache_store",
-    "pool-exhaustion": "pool_create",
 }
 
 
@@ -182,9 +168,6 @@ class FaultInjector:
         self._cache_rules = tuple(
             rule for rule in self.rules if FAULT_KINDS[rule.kind] == "cache_store"
         )
-        self._pool_rules = tuple(
-            rule for rule in self.rules if FAULT_KINDS[rule.kind] == "pool_create"
-        )
 
     def _should_fire(self, rule: FaultRule) -> bool:
         with self._lock:
@@ -219,12 +202,6 @@ class FaultInjector:
         for rule in self._cache_rules:
             if self._should_fire(rule):
                 raise CacheStoreFault(rule.kind, "cache_store")
-
-    def pool_create(self) -> None:
-        """Executor creation: may raise."""
-        for rule in self._pool_rules:
-            if self._should_fire(rule):
-                raise PoolExhaustedFault(rule.kind, "pool_create")
 
     # ------------------------------------------------------------------
     # Introspection
@@ -336,11 +313,6 @@ class _FaultGate:
         injector = self.injector
         if injector is not None:
             injector.cache_store()
-
-    def pool_create(self) -> None:
-        injector = self.injector
-        if injector is not None:
-            injector.pool_create()
 
 
 #: The process-wide fault gate (inactive unless :func:`inject_faults` or

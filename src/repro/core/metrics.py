@@ -2,21 +2,21 @@
 
 Where :mod:`repro.core.trace` answers "where did *this* decision spend
 its time", the metrics registry answers "what has this *process* been
-doing": cache hit rates, decisions served, budget consumption, engine
-queue waits.  Metric objects are cheap, thread-safe, and always on -
+doing": cache hit rates, decisions served, budget consumption, retries
+and degradations.  Metric objects are cheap, thread-safe, and always on -
 an increment is one short critical section - and the whole registry
 serializes to JSON through :meth:`MetricsRegistry.snapshot` (the CLI's
 ``--emit-metrics PATH`` and the bench smoke's artifact).
 
 Naming convention: dotted ``subsystem.metric`` names, e.g.
 ``decision_cache.hits``, ``circle_cache.misses``,
-``engine.queue_wait_ms``, ``budget.exceeded``, ``resilience.retries``,
+``budget.exceeded``, ``resilience.retries``,
 ``faults.worker-crash``.  The registry creates metrics on first use, so
 readers never race creators.
 
 The per-object stats the kernel exposed before this module existed
 (:class:`~repro.core.decisioncache.DecisionCacheStats`,
-``CircleCache.hits``/``misses``, :class:`~repro.core.parallel.EngineStats`)
+``CircleCache.hits``/``misses``)
 remain as per-instance compatibility views; the registry aggregates the
 same signals process-wide.
 """

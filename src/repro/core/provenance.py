@@ -233,7 +233,7 @@ def provenance_for_key(
     """Derive provenance from a canonical decision-cache key.
 
     Keys have the shape ``(kind, query..., options)`` shared by the
-    sequential wrappers, the parallel engine, and the compiled tier, so
+    sequential wrappers, the decision engine, and the compiled tier, so
     every store site gets provenance without threading extra arguments.
     Unknown kinds return ``None`` (the entry is then invalidated on any
     edit - conservative, never wrong).

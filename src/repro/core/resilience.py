@@ -1,21 +1,22 @@
 """A resilient decision service: retries, circuit breaking, degradation.
 
-The :class:`~repro.core.parallel.ParallelDecisionEngine` answers heavy
-traffic fast, but a worker crash, a hung pool, or a flaky cache store
-takes a whole request (or batch) down with an exception.  Bertossi &
-Milani's ontological multidimensional model treats inconsistency as a
+A worker fault, a flaky cache store, or a blown budget takes a whole
+request (or batch) down with an exception.  Bertossi & Milani's
+ontological multidimensional model treats inconsistency as a
 first-class *answerable* state rather than a crash; this module gives
 the decision stack the same property.  :class:`ResilientDecisionEngine`
-wraps a parallel engine with a three-rung **degradation ladder**:
+wraps a decision engine with a three-rung **degradation ladder**:
 
-1. **parallel** - the wrapped engine (fan-out, batching, dedup), with
-   per-decision retry: exponential backoff, deterministic jitter, a
-   configurable attempt cap.  Transient failures (``OSError``, injected
-   faults, broken pools) are retried; everything else is not.
-2. **sequential** - the in-process sequential kernel with a fresh
-   budget, also retried.  A :class:`CircuitBreaker` per schema
-   fingerprint sends traffic straight here while the parallel rung
-   keeps failing, and lets it back after a cooldown.
+1. **primary** - the wrapped engine (the sequential
+   :class:`~repro.core.engine.DecisionEngine` by default, or the
+   compiled tier), with per-decision retry: exponential backoff,
+   deterministic jitter, a configurable attempt cap.  Transient
+   failures (``OSError``, injected faults) are retried; everything else
+   is not.
+2. **sequential** - the interpreted kernel with a fresh budget, also
+   retried.  A :class:`CircuitBreaker` per schema fingerprint sends
+   traffic straight here while the primary rung keeps failing, and lets
+   it back after a cooldown.
 3. **UNKNOWN** - a typed verdict-free outcome
    (:class:`DecisionOutcome` with ``status="unknown"``, or a raised
    :class:`~repro.errors.DecisionUnavailable`) carrying the full failure
@@ -40,24 +41,17 @@ from __future__ import annotations
 import threading
 import time
 import zlib
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro._types import Category
 from repro.core.auditlog import AUDIT
-from repro.core.dimsat import DimsatResult, dimsat
+from repro.core.dimsat import DimsatResult
+from repro.core.engine import DecisionEngine, RequestKey, _decide, normalize_request
 from repro.core.faults import FAULTS
-from repro.core.implication import ImplicationResult, implies as run_implies
+from repro.core.implication import ImplicationResult
 from repro.core.metrics import METRICS
-from repro.core.parallel import (
-    ParallelDecisionEngine,
-    RequestKey,
-    _decide,
-    normalize_request,
-)
 from repro.core.schema import DimensionSchema
-from repro.core.summarizability import is_summarizable_in_schema
 from repro.core.trace import TRACER
 from repro.errors import BudgetExceeded, DecisionUnavailable, ReproError
 
@@ -69,11 +63,11 @@ _M_BREAKER_SKIPS = METRICS.counter("resilience.breaker_open_skips")
 _H_ATTEMPTS = METRICS.histogram("resilience.attempts_per_decision")
 
 #: Failures worth retrying: transient OS-level trouble (which injected
-#: worker faults subclass) and broken executors.  Everything else is
-#: either a sound typed abort (``BudgetExceeded``, degradable but not
-#: retryable - the same ceilings would abort again) or a caller bug
-#: (``SchemaError`` etc., re-raised untouched).
-RETRYABLE_ERRORS = (OSError, TimeoutError, BrokenExecutor)
+#: worker faults subclass).  Everything else is either a sound typed
+#: abort (``BudgetExceeded``, degradable but not retryable - the same
+#: ceilings would abort again) or a caller bug (``SchemaError`` etc.,
+#: re-raised untouched).
+RETRYABLE_ERRORS = (OSError, TimeoutError)
 
 
 def classify_failure(error: BaseException) -> str:
@@ -89,7 +83,7 @@ def classify_failure(error: BaseException) -> str:
 class AttemptRecord:
     """Provenance of one failed attempt at a decision."""
 
-    #: ``"parallel"`` or ``"sequential"`` - the ladder rung that failed.
+    #: ``"primary"`` or ``"sequential"`` - the ladder rung that failed.
     rung: str
     #: 0-based attempt index within the rung.
     attempt: int
@@ -173,14 +167,14 @@ class RetryPolicy:
 
 
 class CircuitBreaker:
-    """A per-key (schema fingerprint) breaker over the parallel rung.
+    """A per-key (schema fingerprint) breaker over the primary rung.
 
-    ``failure_threshold`` consecutive parallel-rung failures for one key
+    ``failure_threshold`` consecutive primary-rung failures for one key
     open the circuit: traffic for that key skips straight to the
-    sequential rung (no pool churn on a schema that keeps crashing
-    workers).  After ``cooldown_ms`` the circuit half-opens - the next
-    decision probes the parallel rung again; success closes the circuit,
-    failure re-opens it for another cooldown.
+    sequential rung (no retry churn on a schema that keeps failing).
+    After ``cooldown_ms`` the circuit half-opens - the next decision
+    probes the primary rung again; success closes the circuit, failure
+    re-opens it for another cooldown.
     """
 
     def __init__(
@@ -197,13 +191,13 @@ class CircuitBreaker:
         self._state: Dict[str, List[Optional[float]]] = {}
 
     def allow(self, key: str) -> bool:
-        """May the parallel rung be tried for this key right now?"""
+        """May the primary rung be tried for this key right now?"""
         with self._lock:
             state = self._state.get(key)
             if state is None or state[1] is None:
                 return True
             if (time.monotonic() - state[1]) * 1000.0 >= self.cooldown_ms:
-                # Half-open: let traffic probe the parallel rung; the next
+                # Half-open: let traffic probe the primary rung; the next
                 # record_success/record_failure settles the circuit.
                 state[1] = None
                 return True
@@ -239,7 +233,11 @@ class CircuitBreaker:
 
 @dataclass
 class ResilienceStats:
-    """Cumulative counters for one :class:`ResilientDecisionEngine`."""
+    """Cumulative counters for one :class:`ResilientDecisionEngine`.
+
+    Updated under the engine's lock: the server's executor threads share
+    one engine.
+    """
 
     decisions: int = 0
     retries: int = 0
@@ -249,21 +247,25 @@ class ResilienceStats:
 
 
 class ResilientDecisionEngine:
-    """The degradation-ladder wrapper around a parallel decision engine.
+    """The degradation-ladder wrapper around a decision engine.
 
     Parameters
     ----------
     engine:
-        The wrapped :class:`~repro.core.parallel.ParallelDecisionEngine`;
-        built from ``engine_kwargs`` when omitted.
+        The primary rung: a :class:`~repro.core.engine.DecisionEngine`
+        or the compiled tier; built from ``engine_kwargs`` when omitted.
     retry:
         The :class:`RetryPolicy` (attempt cap, backoff, jitter).
     breaker:
-        The :class:`CircuitBreaker` guarding the parallel rung.
+        The :class:`CircuitBreaker` guarding the primary rung.
+    max_workers:
+        Ignored.  Decisions run on the calling thread; the argument is
+        still accepted because callers written against the earlier
+        pooled engine (the repo benchmark's per-layer probe among them)
+        pass it.
     engine_kwargs:
-        Forwarded to :class:`ParallelDecisionEngine` when ``engine`` is
-        ``None`` (``max_workers``, ``mode``, ``budget``, ``options``,
-        ``cache``).
+        Forwarded to :class:`~repro.core.engine.DecisionEngine` when
+        ``engine`` is ``None`` (``budget``, ``options``, ``cache``).
 
     The single-decision surface (:meth:`dimsat`, :meth:`implies`,
     :meth:`is_summarizable`, ...) mirrors the wrapped engine's but raises
@@ -275,28 +277,37 @@ class ResilientDecisionEngine:
 
     def __init__(
         self,
-        engine: Optional[ParallelDecisionEngine] = None,
+        engine: Optional[DecisionEngine] = None,
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
+        max_workers: Optional[int] = None,
         **engine_kwargs: Any,
     ) -> None:
         if engine is not None and engine_kwargs:
             raise ReproError(
                 "pass either a prebuilt engine or engine kwargs, not both"
             )
-        self.engine = engine if engine is not None else ParallelDecisionEngine(
-            **engine_kwargs
+        self.engine = engine if engine is not None else DecisionEngine(**engine_kwargs)
+        #: The sequential rung: the interpreted kernel over the primary
+        #: engine's cache, options and budget.
+        self.sequential = DecisionEngine(
+            budget=self.engine.budget_template,
+            options=self.engine.options,
+            cache=self.engine.cache,
         )
         self.retry = retry if retry is not None else RetryPolicy()
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.stats = ResilienceStats()
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def shutdown(self, wait_for_tasks: bool = True) -> None:
-        self.engine.shutdown(wait_for_tasks)
+    def shutdown(self) -> None:
+        """Nothing to release: the engine holds no threads or processes.
+        Kept, with the context-manager protocol, so callers that close
+        their engine keep working."""
 
     def __enter__(self) -> "ResilientDecisionEngine":
         return self
@@ -307,6 +318,10 @@ class ResilientDecisionEngine:
     # ------------------------------------------------------------------
     # The ladder
     # ------------------------------------------------------------------
+
+    def _count(self, counter: str, amount: int = 1) -> None:
+        with self._lock:
+            setattr(self.stats, counter, getattr(self.stats, counter) + amount)
 
     def _sleep(self, rung_attempt: int, token: int) -> None:
         delay = self.retry.delay_ms(rung_attempt, token)
@@ -341,7 +356,7 @@ class ResilientDecisionEngine:
                 if kind == "degradable":
                     break
                 if attempt + 1 < self.retry.max_attempts:
-                    self.stats.retries += 1
+                    self._count("retries")
                     _M_RETRIES.inc()
                     if TRACER.enabled:
                         TRACER.event(
@@ -357,15 +372,20 @@ class ResilientDecisionEngine:
         self,
         schema: DimensionSchema,
         label: str,
-        parallel_run: Callable[[], Any],
-        sequential_run: Callable[[], Any],
-        request: Optional[Tuple[Any, ...]] = None,
+        call: Callable[[DecisionEngine], Any],
+        request: RequestKey,
     ) -> Any:
         """Single-decision ladder; raises ``DecisionUnavailable`` at the
-        bottom.  ``request`` is the canonical request key, recorded on the
-        audit log when every rung fails (successful rungs are audited at
-        the cache/kernel layer they answer from)."""
-        self.stats.decisions += 1
+        bottom.  ``call`` runs the decision on one rung's engine, behind
+        the per-decision fault checkpoint.  ``request`` is the canonical
+        request key, recorded on the audit log when every rung fails
+        (successful rungs are audited by the engine that answers)."""
+
+        def attempt(engine: DecisionEngine) -> Any:
+            FAULTS.worker()
+            return call(engine)
+
+        self._count("decisions")
         fingerprint = schema.fingerprint()
         token = zlib.crc32(f"{label}:{fingerprint}".encode("utf-8"))
         failures: List[AttemptRecord] = []
@@ -373,37 +393,38 @@ class ResilientDecisionEngine:
         with TRACER.span("resilience.decide", kind=label) as span:
             if self.breaker.allow(fingerprint):
                 ok, value, attempts = self._run_rung(
-                    "parallel", parallel_run, failures, token
+                    "primary", lambda: attempt(self.engine), failures, token
                 )
                 total_attempts += attempts
                 if ok:
                     self.breaker.record_success(fingerprint)
-                    span.set(rung="parallel", attempts=total_attempts)
+                    span.set(rung="primary", attempts=total_attempts)
                     _H_ATTEMPTS.observe(total_attempts)
                     return value
                 self.breaker.record_failure(fingerprint)
             else:
-                self.stats.breaker_open_skips += 1
+                self._count("breaker_open_skips")
                 _M_BREAKER_SKIPS.inc()
                 failures.append(
                     AttemptRecord(
-                        "parallel", 0, "CircuitOpen",
+                        "primary", 0, "CircuitOpen",
                         f"circuit open for schema {fingerprint[:12]}",
                     )
                 )
-            self.stats.degraded_sequential += 1
+            self._count("degraded_sequential")
             _M_DEGRADED.inc()
             if TRACER.enabled:
                 TRACER.event("resilience.degrade", kind=label, to="sequential")
             ok, value, attempts = self._run_rung(
-                "sequential", sequential_run, failures, token ^ 0x5E0
+                "sequential", lambda: attempt(self.sequential), failures,
+                token ^ 0x5E0,
             )
             total_attempts += attempts
             if ok:
                 span.set(rung="sequential", attempts=total_attempts)
                 _H_ATTEMPTS.observe(total_attempts)
                 return value
-            self.stats.unknown_verdicts += 1
+            self._count("unknown_verdicts")
             _M_UNKNOWN.inc()
             _H_ATTEMPTS.observe(total_attempts)
             span.set(rung="unknown", attempts=total_attempts)
@@ -411,7 +432,7 @@ class ResilientDecisionEngine:
                 TRACER.event(
                     "resilience.unknown", kind=label, attempts=total_attempts
                 )
-            if AUDIT.enabled and request is not None:
+            if AUDIT.enabled:
                 AUDIT.record_unknown(
                     schema, request, total_attempts, failures
                 )
@@ -427,22 +448,11 @@ class ResilientDecisionEngine:
 
     def dimsat(self, schema: DimensionSchema, category: Category) -> DimsatResult:
         """Category satisfiability through the ladder."""
-
-        def sequential() -> DimsatResult:
-            FAULTS.worker()
-            budget = self.engine._fresh_budget()
-            if self.engine.cache is not None:
-                return self.engine.cache.dimsat(
-                    schema, category, self.engine.options, budget
-                )
-            return dimsat(schema, category, self.engine.options, budget)
-
         return self._ladder(
             schema,
             "dimsat",
-            lambda: self.engine.dimsat(schema, category),
-            sequential,
-            request=("dimsat", category),
+            lambda engine: engine.dimsat(schema, category),
+            ("dimsat", category),
         )
 
     def is_satisfiable(self, schema: DimensionSchema, category: Category) -> bool:
@@ -452,24 +462,11 @@ class ResilientDecisionEngine:
         self, schema: DimensionSchema, constraint: object
     ) -> ImplicationResult:
         """``ds |= alpha`` through the ladder."""
-
-        def sequential() -> ImplicationResult:
-            FAULTS.worker()
-            budget = self.engine._fresh_budget()
-            if self.engine.cache is not None:
-                return self.engine.cache.implies(
-                    schema, constraint, self.engine.options, budget
-                )
-            return run_implies(
-                schema, constraint, self.engine.options, cache=None, budget=budget
-            )
-
         return self._ladder(
             schema,
             "implies",
-            lambda: self.engine.implies(schema, constraint),
-            sequential,
-            request=normalize_request(("implies", constraint)),
+            lambda engine: engine.implies(schema, constraint),
+            normalize_request(("implies", constraint)),
         )
 
     def is_implied(self, schema: DimensionSchema, constraint: object) -> bool:
@@ -483,25 +480,11 @@ class ResilientDecisionEngine:
     ) -> bool:
         """Theorem 1 through the ladder."""
         source_key = tuple(sorted(set(sources)))
-
-        def sequential() -> bool:
-            FAULTS.worker()
-            budget = self.engine._fresh_budget()
-            return is_summarizable_in_schema(
-                schema,
-                target,
-                source_key,
-                self.engine.options,
-                self.engine.cache,
-                budget,
-            )
-
         return self._ladder(
             schema,
             "summarizable",
-            lambda: self.engine.is_summarizable(schema, target, source_key),
-            sequential,
-            request=("summarizable", target, source_key),
+            lambda engine: engine.is_summarizable(schema, target, source_key),
+            ("summarizable", target, source_key),
         )
 
     # ------------------------------------------------------------------
@@ -521,7 +504,7 @@ class ResilientDecisionEngine:
     ) -> List[bool]:
         """Boolean verdicts aligned with the input order.
 
-        Drop-in for :meth:`ParallelDecisionEngine.decide_many`; raises
+        Drop-in for :meth:`DecisionEngine.decide_many`; raises
         :class:`~repro.errors.DecisionUnavailable` when any decision
         degraded to UNKNOWN (use :meth:`decide_many_outcomes` to keep the
         rest of the batch).
@@ -544,51 +527,51 @@ class ResilientDecisionEngine:
         exception (service faults; malformed requests still raise).
 
         Round 1 sends the whole batch through the wrapped engine's
-        :meth:`~repro.core.parallel.ParallelDecisionEngine.try_decide_many`
-        (deduped, concurrent); failed requests are retried as shrinking
+        :meth:`~repro.core.engine.DecisionEngine.try_decide_many`
+        (deduped, decided in order); failed requests are retried as shrinking
         sub-batches with backoff, then degraded to the sequential kernel,
         then - only if that also fails - answered UNKNOWN with their full
         failure provenance.
         """
         pairs = list(items)
-        self.stats.decisions += len(pairs)
+        self._count("decisions", len(pairs))
         outcomes: List[Optional[DecisionOutcome]] = [None] * len(pairs)
         failures: List[List[AttemptRecord]] = [[] for _ in pairs]
         attempts_made = [0] * len(pairs)
 
         # Partition by breaker state up front: open circuits go straight
         # to the sequential rung.
-        parallel_pending: List[int] = []
+        primary_pending: List[int] = []
         sequential_pending: List[int] = []
         for index, (schema, _request) in enumerate(pairs):
             if self.breaker.allow(schema.fingerprint()):
-                parallel_pending.append(index)
+                primary_pending.append(index)
             else:
-                self.stats.breaker_open_skips += 1
+                self._count("breaker_open_skips")
                 _M_BREAKER_SKIPS.inc()
                 failures[index].append(
                     AttemptRecord(
-                        "parallel", 0, "CircuitOpen",
+                        "primary", 0, "CircuitOpen",
                         f"circuit open for schema {schema.fingerprint()[:12]}",
                     )
                 )
                 sequential_pending.append(index)
 
-        # Rung 1: the parallel engine, whole-batch, retried in rounds.
+        # Rung 1: the primary engine, whole-batch, retried in rounds.
         for attempt in range(self.retry.max_attempts):
-            if not parallel_pending:
+            if not primary_pending:
                 break
-            sub = [pairs[i] for i in parallel_pending]
+            sub = [pairs[i] for i in primary_pending]
             results = self.engine.try_decide_many(sub)
             retry_round: List[int] = []
-            for index, result in zip(parallel_pending, results):
+            for index, result in zip(primary_pending, results):
                 attempts_made[index] += 1
                 schema = pairs[index][0]
                 if not isinstance(result, BaseException):
                     outcomes[index] = DecisionOutcome(
                         verdict=bool(result),
                         status="ok",
-                        rung="parallel",
+                        rung="primary",
                         attempts=attempts_made[index],
                         failures=tuple(failures[index]),
                     )
@@ -599,24 +582,24 @@ class ResilientDecisionEngine:
                     raise result
                 failures[index].append(
                     AttemptRecord(
-                        "parallel", attempt, type(result).__name__, str(result)
+                        "primary", attempt, type(result).__name__, str(result)
                     )
                 )
                 self.breaker.record_failure(schema.fingerprint())
                 if kind == "retryable" and attempt + 1 < self.retry.max_attempts:
                     retry_round.append(index)
-                    self.stats.retries += 1
+                    self._count("retries")
                     _M_RETRIES.inc()
                 else:
                     sequential_pending.append(index)
-            parallel_pending = retry_round
-            if parallel_pending and attempt + 1 < self.retry.max_attempts:
+            primary_pending = retry_round
+            if primary_pending and attempt + 1 < self.retry.max_attempts:
                 if TRACER.enabled:
                     TRACER.event(
                         "resilience.retry",
-                        rung="parallel",
+                        rung="primary",
                         attempt=attempt,
-                        requests=len(parallel_pending),
+                        requests=len(primary_pending),
                     )
                 self._sleep(attempt, token=attempt)
 
@@ -624,7 +607,7 @@ class ResilientDecisionEngine:
         for index in sorted(sequential_pending):
             schema, request = pairs[index]
             key: RequestKey = normalize_request(request)
-            self.stats.degraded_sequential += 1
+            self._count("degraded_sequential")
             _M_DEGRADED.inc()
             if TRACER.enabled:
                 TRACER.event(
@@ -633,7 +616,7 @@ class ResilientDecisionEngine:
             token = zlib.crc32(repr(key).encode("utf-8"))
             ok, value, attempts = self._run_rung(
                 "sequential",
-                lambda: self._sequential_decide(schema, key),
+                lambda: _decide(self.sequential, schema, key),
                 failures[index],
                 token,
             )
@@ -647,7 +630,7 @@ class ResilientDecisionEngine:
                     failures=tuple(failures[index]),
                 )
             else:
-                self.stats.unknown_verdicts += 1
+                self._count("unknown_verdicts")
                 _M_UNKNOWN.inc()
                 if TRACER.enabled:
                     TRACER.event(
@@ -671,17 +654,6 @@ class ResilientDecisionEngine:
             assert outcome is not None, f"request {index} left undecided"
             _H_ATTEMPTS.observe(outcome.attempts)
         return outcomes  # type: ignore[return-value]
-
-    def _sequential_decide(self, schema: DimensionSchema, key: RequestKey) -> bool:
-        """One normalized request on the in-process sequential kernel
-        (the ladder's second rung; passes the worker fault checkpoint
-        inside :func:`repro.core.parallel._decide`)."""
-        budget = (
-            self.engine.budget_template.fresh()
-            if self.engine.budget_template is not None
-            else None
-        )
-        return _decide(schema, key, self.engine.options, self.engine.cache, budget)
 
     def report(self) -> str:
         """A human-readable stats block."""

@@ -109,9 +109,9 @@ class DecisionServer:
     ----------
     engine:
         The :class:`~repro.core.resilience.ResilientDecisionEngine`
-        serving every verdict.  A plain engine (parallel / compiled) is
+        serving every verdict.  A plain engine (sequential / compiled) is
         wrapped, so the degradation ladder is always in front of
-        clients: a worker crash degrades, it never disconnects.
+        clients: a crashed decision degrades, it never disconnects.
     host, port:
         Bind address.  ``port=0`` binds an ephemeral port; read
         :attr:`port` after :meth:`start`.
@@ -138,7 +138,7 @@ class DecisionServer:
         verify_cache_on_load: bool = True,
     ) -> None:
         if engine is None:
-            engine = ResilientDecisionEngine(max_workers=2)
+            engine = ResilientDecisionEngine()
         elif not isinstance(engine, ResilientDecisionEngine):
             engine = ResilientDecisionEngine(engine)
         if max_inflight < 1:

@@ -3,7 +3,7 @@
 The correctness gates so far are point-in-time: one decision, one
 schema, one engine.  This module drives the whole stack - the
 :class:`~repro.core.resilience.ResilientDecisionEngine` over the
-sequential, parallel, or compiled engine - for a configurable duration
+sequential or compiled engine - for a configurable duration
 of mixed decide/navigate/edit traffic drawn from the adversarial corpus
 (:mod:`repro.generators.adversarial`), optionally under injected faults,
 and checks **metamorphic invariants** on every step instead of fixed
@@ -59,9 +59,9 @@ from repro.core.compile import (
     CompiledDecisionEngine,
 )
 from repro.core.dimsat import dimsat
+from repro.core.engine import DecisionEngine, decide, normalize_request
 from repro.core.implication import implies as run_implies
 from repro.core.instance import DimensionInstance
-from repro.core.parallel import ParallelDecisionEngine
 from repro.core.resilience import ResilientDecisionEngine, RetryPolicy
 from repro.core.schema import DimensionSchema
 from repro.core.summarizability import is_summarizable_in_schema
@@ -75,7 +75,7 @@ from repro.olap.facttable import FactTable
 from repro.olap.maintenance import SchemaEditor
 
 #: The engines the soak harness can put behind the resilience ladder.
-SOAK_ENGINES = ("compiled", "parallel", "sequential")
+SOAK_ENGINES = ("compiled", "sequential")
 
 
 # ----------------------------------------------------------------------
@@ -104,7 +104,6 @@ class SoakConfig:
     #: Operations per mixed-trace cycle per case (traces regenerate with
     #: a bumped seed when exhausted).
     trace_ops: int = 40
-    workers: int = 2
     retries: int = 3
     budget_ms: Optional[float] = None
     #: Run the compiled-vs-sequential cross-check on every Nth decision.
@@ -248,9 +247,9 @@ class SoakReport:
 def build_soak_engine(config: SoakConfig) -> ResilientDecisionEngine:
     """The resilient engine the soak drives, per ``config.engine``.
 
-    ``sequential`` is the parallel engine pinned to one worker - the
-    in-repo sequential service path behind the same retry/degradation
-    ladder the other two get.
+    ``sequential`` is the :class:`~repro.core.engine.DecisionEngine` -
+    the service's default path - behind the same retry/degradation
+    ladder the compiled tier gets.
     """
     budget = (
         DecisionBudget(time_ms=config.budget_ms)
@@ -258,11 +257,9 @@ def build_soak_engine(config: SoakConfig) -> ResilientDecisionEngine:
         else None
     )
     if config.engine == "compiled":
-        inner: Any = CompiledDecisionEngine(budget=budget)
-    elif config.engine == "parallel":
-        inner = ParallelDecisionEngine(max_workers=config.workers, budget=budget)
+        inner: DecisionEngine = CompiledDecisionEngine(budget=budget)
     else:
-        inner = ParallelDecisionEngine(max_workers=1, budget=budget)
+        inner = DecisionEngine(budget=budget)
     return ResilientDecisionEngine(
         inner,
         retry=RetryPolicy(max_attempts=max(1, config.retries)),
@@ -286,19 +283,6 @@ def oracle_decide(schema: DimensionSchema, request: Sequence[object]) -> bool:
             schema, request[1], request[2], cache=None  # type: ignore[arg-type]
         )
     raise ReproError(f"unknown request kind {kind!r}")
-
-
-def _compiled_decide(
-    engine: CompiledDecisionEngine,
-    schema: DimensionSchema,
-    request: Sequence[object],
-) -> bool:
-    kind = request[0]
-    if kind == "dimsat":
-        return engine.dimsat(schema, request[1]).satisfiable  # type: ignore[arg-type]
-    if kind == "implies":
-        return engine.implies(schema, request[1]).implied
-    return engine.is_summarizable(schema, request[1], request[2])  # type: ignore[arg-type]
 
 
 def _request_fits(schema: DimensionSchema, request: Sequence[object]) -> bool:
@@ -524,7 +508,7 @@ class _SoakRun:
                 cache=None, store=CompiledArtifactStore()
             )
             try:
-                compiled = _compiled_decide(probe, schema, request)
+                compiled = decide(probe, schema, normalize_request(request))
             except Exception:
                 return False
             return compiled != oracle_decide(schema, request)
@@ -541,7 +525,9 @@ class _SoakRun:
         """The compiled-vs-sequential invariant, any traffic engine."""
         schema = state.schema
         try:
-            compiled = _compiled_decide(self._cross_engine, schema, request)
+            compiled = decide(
+                self._cross_engine, schema, normalize_request(request)
+            )
         except CompilationError:
             self.report.cross_check_skips += 1
             return

@@ -68,7 +68,7 @@ class DecisionUnavailable(ReproError):
     """Every rung of the resilience ladder failed to produce a verdict.
 
     Raised by :class:`~repro.core.resilience.ResilientDecisionEngine`
-    when the parallel engine (with retries), the sequential kernel
+    when the primary engine (with retries), the sequential kernel
     fallback, and any remaining recovery path all failed for a decision.
     The question is *undecided* - a typed UNKNOWN, never a wrong boolean
     - and ``failures`` carries the provenance: one record per failed

@@ -19,8 +19,8 @@ Generator families
 ``wide-fanout``
     One bottom with many alternative parents under an ``one(...)``
     constraint: the DIMSAT branch factor (Figure 6's EXPAND loop) equals
-    the fan-out, so first-witness cancellation and the parallel engine's
-    branch jobs get real work.
+    the fan-out, so the search's branch enumeration and first-witness
+    exit get real work.
 ``many-bottoms``
     Many heterogeneous bottom categories sharing mid/top layers, half
     choice-constrained, half pinned by equality exceptions: the Theorem 1

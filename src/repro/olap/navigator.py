@@ -30,10 +30,10 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 from repro._types import Category
 from repro.core.compile import resolve_engine
 from repro.core.decisioncache import USE_DEFAULT_CACHE
+from repro.core.engine import DecisionEngine
 from repro.core.instance import DimensionInstance
 from repro.core.metrics import METRICS
 from repro.core.trace import TRACER
-from repro.core.parallel import ParallelDecisionEngine
 from repro.core.schema import DimensionSchema
 from repro.core.summarizability import (
     is_summarizable_in_instance,
@@ -103,12 +103,12 @@ class AggregateNavigator:
         summarizability verdicts (default: the process-wide one); pass
         ``None`` to disable it.
     engine:
-        Optional :class:`~repro.core.parallel.ParallelDecisionEngine`,
+        Optional :class:`~repro.core.engine.DecisionEngine`,
         or the string ``"compiled"`` to decide through a
         :class:`~repro.core.compile.CompiledDecisionEngine` over the
         same cache.  When set (and ``schema`` is given), the rewriting
         search batches its candidate summarizability checks through
-        :meth:`~repro.core.parallel.ParallelDecisionEngine.decide_many`
+        :meth:`~repro.core.engine.DecisionEngine.decide_many`
         instead of deciding them one by one.
     """
 
@@ -119,7 +119,7 @@ class AggregateNavigator:
         max_rewrite_sources: int = 3,
         rewrites_only: bool = False,
         cache: object = USE_DEFAULT_CACHE,
-        engine: Optional[ParallelDecisionEngine] = None,
+        engine: Optional[DecisionEngine] = None,
     ) -> None:
         self.facts = facts
         self.instance: DimensionInstance = facts.instance

@@ -31,8 +31,8 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 from repro._types import ALL, Category
 from repro.core.compile import resolve_engine
 from repro.core.decisioncache import USE_DEFAULT_CACHE
+from repro.core.engine import DecisionEngine
 from repro.core.dimsat import DimsatOptions
-from repro.core.parallel import ParallelDecisionEngine
 from repro.core.schema import DimensionSchema
 from repro.core.summarizability import is_summarizable_in_schema
 from repro.core.trace import TRACER
@@ -107,7 +107,7 @@ class _SummarizabilityCache:
         schema: DimensionSchema,
         options: Optional[DimsatOptions],
         cache: object = USE_DEFAULT_CACHE,
-        engine: Optional[ParallelDecisionEngine] = None,
+        engine: Optional[DecisionEngine] = None,
     ):
         self.schema = schema
         self.options = options
@@ -196,7 +196,7 @@ def evaluate_selection(
     selected: Iterable[Category],
     options: Optional[DimsatOptions] = None,
     cache: object = USE_DEFAULT_CACHE,
-    engine: Optional[ParallelDecisionEngine] = None,
+    engine: Optional[DecisionEngine] = None,
 ) -> Selection:
     """Storage and weighted query cost of a concrete view set.
 
@@ -244,7 +244,7 @@ def coverage(
     selected: Iterable[Category],
     options: Optional[DimsatOptions] = None,
     cache: object = USE_DEFAULT_CACHE,
-    engine: Optional[ParallelDecisionEngine] = None,
+    engine: Optional[DecisionEngine] = None,
 ) -> Dict[Category, bool]:
     """Per-target verdict: answerable from the views without a base scan."""
     evaluation = evaluate_selection(problem, selected, options, cache, engine)
@@ -258,7 +258,7 @@ def is_sufficient(
     selected: Iterable[Category],
     options: Optional[DimsatOptions] = None,
     cache: object = USE_DEFAULT_CACHE,
-    engine: Optional[ParallelDecisionEngine] = None,
+    engine: Optional[DecisionEngine] = None,
 ) -> bool:
     """Section 6's test: do the selected views suffice for all targets?"""
     return all(coverage(problem, selected, options, cache, engine).values())
@@ -269,7 +269,7 @@ def greedy_select(
     storage_budget: int,
     options: Optional[DimsatOptions] = None,
     cache: object = USE_DEFAULT_CACHE,
-    engine: Optional[ParallelDecisionEngine] = None,
+    engine: Optional[DecisionEngine] = None,
 ) -> Selection:
     """Benefit-per-cell greedy selection under a storage budget.
 
@@ -316,7 +316,7 @@ def exhaustive_select(
     storage_budget: int,
     options: Optional[DimsatOptions] = None,
     cache: object = USE_DEFAULT_CACHE,
-    engine: Optional[ParallelDecisionEngine] = None,
+    engine: Optional[DecisionEngine] = None,
 ) -> Selection:
     """Optimal selection by subset enumeration (small candidate sets).
 

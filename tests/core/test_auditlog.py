@@ -93,7 +93,7 @@ class TestRecording:
             ("implies", "Store -> City"),
             attempts=3,
             failures=[
-                {"rung": "parallel", "error": "WorkerCrash"},
+                {"rung": "primary", "error": "WorkerCrash"},
                 {"rung": "sequential", "error": "WorkerCrash"},
             ],
             duration_ms=1.25,
@@ -103,7 +103,7 @@ class TestRecording:
         assert record["verdict"] is None
         assert record["attempts"] == 3
         assert [f["rung"] for f in record["failures"]] == [
-            "parallel",
+            "primary",
             "sequential",
         ]
 

@@ -1,4 +1,4 @@
-"""Budget exhaustion and cancellation semantics.
+"""Budget exhaustion semantics.
 
 The contract under test: a blown budget raises the typed
 :class:`~repro.errors.BudgetExceeded` - it never produces a wrong verdict
@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.budget import DecisionBudget, DecisionCancelled
+from repro.core.budget import DecisionBudget
 from repro.core.decisioncache import DecisionCache
 from repro.core.dimsat import DimsatOptions, SearchBudgetExceeded, dimsat
 from repro.core.implication import implies, is_category_satisfiable, is_implied
-from repro.core.parallel import ParallelDecisionEngine
+from repro.core.engine import DecisionEngine
 from repro.core.summarizability import is_summarizable_in_schema
 from repro.errors import BudgetExceeded, ReproError, SchemaError
 from repro.generators.location import location_schema
@@ -50,13 +50,6 @@ class TestDecisionBudget:
             budget.charge()
         assert budget.nodes_charged == 1000
 
-    def test_cancel_wins_over_exhaustion(self):
-        budget = DecisionBudget(max_nodes=0)
-        budget.cancel()
-        assert budget.cancelled
-        with pytest.raises(DecisionCancelled):
-            budget.charge()
-
     def test_negative_parameters_rejected(self):
         with pytest.raises(ValueError):
             DecisionBudget(max_nodes=-1)
@@ -66,17 +59,10 @@ class TestDecisionBudget:
     def test_fresh_copies_ceilings_not_state(self):
         budget = DecisionBudget(max_nodes=5, time_ms=60_000.0)
         budget.charge(5)
-        budget.cancel()
         copy = budget.fresh()
         assert copy.max_nodes == 5 and copy.time_ms == 60_000.0
-        assert copy.nodes_charged == 0 and not copy.cancelled
+        assert copy.nodes_charged == 0
         copy.charge(5)
-
-    def test_spec_round_trip(self):
-        budget = DecisionBudget(max_nodes=7, time_ms=123.0)
-        rebuilt = DecisionBudget.from_spec(budget.spec())
-        assert rebuilt.max_nodes == 7 and rebuilt.time_ms == 123.0
-        assert DecisionBudget.from_spec(None) is None
 
 
 class TestKernelBudgets:
@@ -160,28 +146,24 @@ class TestCachesStayVerdictClean:
         assert cache.is_summarizable(schema, "Country", ["State", "Province"]) is False
 
     def test_engine_abort_leaves_cache_clean(self, schema):
-        """A budget abort inside the parallel fan-out (with cancelled
-        branches in flight) must leave the shared cache verdict-clean."""
+        """A budget abort inside the engine must leave the shared cache
+        verdict-clean."""
         cache = DecisionCache()
-        with ParallelDecisionEngine(
-            max_workers=4, budget=DecisionBudget(max_nodes=0), cache=cache
-        ) as engine:
-            with pytest.raises(BudgetExceeded):
-                engine.is_satisfiable(schema, "Store")
-            with pytest.raises(BudgetExceeded):
-                engine.is_summarizable(schema, "Country", ["City"])
+        engine = DecisionEngine(budget=DecisionBudget(max_nodes=0), cache=cache)
+        with pytest.raises(BudgetExceeded):
+            engine.is_satisfiable(schema, "Store")
+        with pytest.raises(BudgetExceeded):
+            engine.is_summarizable(schema, "Country", ["City"])
         assert len(cache) == 0
-        with ParallelDecisionEngine(max_workers=4, cache=cache) as engine:
-            assert engine.is_satisfiable(schema, "Store") is True
-            assert engine.is_summarizable(schema, "Country", ["City"]) is True
+        engine = DecisionEngine(cache=cache)
+        assert engine.is_satisfiable(schema, "Store") is True
+        assert engine.is_summarizable(schema, "Country", ["City"]) is True
 
     def test_engine_batch_budget_abort_propagates(self, schema):
         cache = DecisionCache()
-        with ParallelDecisionEngine(
-            max_workers=2, budget=DecisionBudget(max_nodes=0), cache=cache
-        ) as engine:
-            with pytest.raises(BudgetExceeded):
-                engine.decide_many(
-                    [(schema, ("dimsat", "Store")), (schema, ("dimsat", "City"))]
-                )
+        engine = DecisionEngine(budget=DecisionBudget(max_nodes=0), cache=cache)
+        with pytest.raises(BudgetExceeded):
+            engine.decide_many(
+                [(schema, ("dimsat", "Store")), (schema, ("dimsat", "City"))]
+            )
         assert len(cache) == 0

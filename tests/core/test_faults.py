@@ -11,7 +11,6 @@ from repro.core.faults import (
     FaultRule,
     FaultSpecError,
     InjectedFault,
-    PoolExhaustedFault,
     _draw,
     inject_faults,
     parse_fault_spec,
@@ -111,12 +110,6 @@ class TestSites:
             injector.cache_store()
         injector.worker()  # worker site unaffected
 
-    def test_pool_exhaustion_fault_type(self):
-        injector = parse_fault_spec("pool-exhaustion:p=1.0")
-        with pytest.raises(PoolExhaustedFault):
-            injector.pool_create()
-        assert issubclass(PoolExhaustedFault, OSError)
-
     def test_slow_worker_sleeps_not_raises(self):
         injector = parse_fault_spec("slow-worker:p=1.0,delay_ms=1")
         injector.worker()  # must not raise
@@ -128,8 +121,7 @@ class TestGate:
         assert FAULTS.injector is None
         assert not FAULTS.active
         FAULTS.worker()
-        FAULTS.cache_store()
-        FAULTS.pool_create()  # all no-ops
+        FAULTS.cache_store()  # all no-ops
 
     def test_context_manager_arms_and_restores(self):
         assert FAULTS.injector is None

@@ -8,7 +8,7 @@ from repro._types import ALL
 from repro.core.decisioncache import DecisionCache
 from repro.core.dimsat import dimsat
 from repro.core.faults import inject_faults
-from repro.core.parallel import ParallelDecisionEngine
+from repro.core.engine import DecisionEngine
 from repro.core.resilience import (
     AttemptRecord,
     CircuitBreaker,
@@ -32,9 +32,7 @@ def schema():
 
 @pytest.fixture()
 def engine():
-    built = ResilientDecisionEngine(
-        retry=FAST_RETRY, max_workers=2, mode="thread", cache=DecisionCache()
-    )
+    built = ResilientDecisionEngine(retry=FAST_RETRY, cache=DecisionCache())
     yield built
     built.shutdown()
 
@@ -104,7 +102,7 @@ class TestNoFaultEquivalence:
         assert engine.stats.unknown_verdicts == 0
         assert engine.stats.degraded_sequential == 0
 
-    def test_batch_outcomes_all_parallel_rung(self, engine, schema):
+    def test_batch_outcomes_all_primary_rung(self, engine, schema):
         items = [
             (schema, ("dimsat", "City")),
             (schema, ("summarizable", "SaleRegion", ("Store",))),
@@ -112,7 +110,7 @@ class TestNoFaultEquivalence:
         ]
         outcomes = engine.decide_many_outcomes(items)
         assert [o.status for o in outcomes] == ["ok", "ok", "ok"]
-        assert [o.rung for o in outcomes] == ["parallel"] * 3
+        assert [o.rung for o in outcomes] == ["primary"] * 3
         assert [o.verdict for o in outcomes] == [True, True, True]
         assert engine.decide_many(items) == [True, True, True]
 
@@ -134,7 +132,7 @@ class TestRetries:
             outcomes = engine.decide_many_outcomes([(schema, ("dimsat", "City"))])
         (outcome,) = outcomes
         assert outcome.ok and outcome.verdict is True
-        assert outcome.rung == "parallel"
+        assert outcome.rung == "primary"
         assert outcome.attempts == 3
         assert [f.error_type for f in outcome.failures] == ["InjectedFault"] * 2
         assert engine.stats.retries >= 2
@@ -145,20 +143,6 @@ class TestRetries:
 
 
 class TestDegradation:
-    def test_pool_exhaustion_degrades_inside_parallel_engine(self, schema):
-        # The wrapped engine's own sequential fallback absorbs pool
-        # exhaustion; the ladder's parallel rung still answers.
-        with inject_faults("pool-exhaustion:p=1.0;seed=1"):
-            engine = ResilientDecisionEngine(
-                retry=FAST_RETRY, max_workers=2, mode="thread",
-                cache=DecisionCache(),
-            )
-            try:
-                outcome = engine.decide(schema, ("dimsat", "City"))
-                assert outcome.ok and outcome.verdict is True
-            finally:
-                engine.shutdown()
-
     def test_persistent_fault_degrades_to_unknown(self, engine, schema):
         with inject_faults("worker-crash:p=1.0;seed=3"):
             outcomes = engine.decide_many_outcomes(
@@ -169,7 +153,7 @@ class TestDegradation:
             assert outcome.verdict is None
             assert outcome.rung == "unknown"
             rungs = {f.rung for f in outcome.failures}
-            assert rungs == {"parallel", "sequential"}
+            assert rungs == {"primary", "sequential"}
             assert all(isinstance(f, AttemptRecord) for f in outcome.failures)
         assert engine.stats.unknown_verdicts == 2
 
@@ -189,8 +173,7 @@ class TestDegradation:
         # would burn attempts on a certainty, so the ladder degrades
         # straight through to UNKNOWN with BudgetExceeded provenance.
         engine = ResilientDecisionEngine(
-            retry=FAST_RETRY, max_workers=2, mode="thread",
-            budget=DecisionBudget(max_nodes=0), cache=None,
+            retry=FAST_RETRY, budget=DecisionBudget(max_nodes=0), cache=None,
         )
         try:
             outcome = engine.decide(schema, ("dimsat", "City"))
@@ -204,26 +187,24 @@ class TestDegradation:
 
 
 class TestBreaker:
-    def test_breaker_opens_and_skips_parallel_rung(self, schema):
+    def test_breaker_opens_and_skips_primary_rung(self, schema):
         engine = ResilientDecisionEngine(
             retry=RetryPolicy(max_attempts=1, base_delay_ms=0.0),
             breaker=CircuitBreaker(failure_threshold=2, cooldown_ms=60_000.0),
-            max_workers=2,
-            mode="thread",
             cache=DecisionCache(),
         )
         try:
             # Crash the worker site only for the first two decisions; the
             # sequential rung passes through the same site, so give it
             # enough quiet fires... easiest: crash everything for 2
-            # decisions' worth of attempts (parallel + sequential = 2
+            # decisions' worth of attempts (primary + sequential = 2
             # opportunities per decision at max_attempts=1).
             with inject_faults("worker-crash:p=1.0,times=4;seed=2"):
                 for _ in range(2):
                     outcome = engine.decide(schema, ("dimsat", "City"))
                     assert outcome.unknown
             assert engine.breaker.state(schema.fingerprint()) == "open"
-            # Faults gone, circuit open: the parallel rung is skipped and
+            # Faults gone, circuit open: the primary rung is skipped and
             # the sequential rung answers correctly.
             outcome = engine.decide(schema, ("dimsat", "City"))
             assert outcome.ok and outcome.verdict is True
@@ -237,9 +218,7 @@ class TestBreaker:
 class TestCacheCleanliness:
     def test_no_faulted_entry_ever_cached(self, schema):
         cache = DecisionCache()
-        engine = ResilientDecisionEngine(
-            retry=FAST_RETRY, max_workers=2, mode="thread", cache=cache
-        )
+        engine = ResilientDecisionEngine(retry=FAST_RETRY, cache=cache)
         try:
             with inject_faults("worker-crash:p=1.0;seed=3"):
                 outcomes = engine.decide_many_outcomes(
@@ -252,9 +231,7 @@ class TestCacheCleanliness:
 
     def test_cache_store_fault_returns_verdict_stores_nothing(self, schema):
         cache = DecisionCache()
-        engine = ResilientDecisionEngine(
-            retry=FAST_RETRY, max_workers=2, mode="thread", cache=cache
-        )
+        engine = ResilientDecisionEngine(retry=FAST_RETRY, cache=cache)
         try:
             with inject_faults("cache-store:p=1.0;seed=1"):
                 outcome = engine.decide(schema, ("dimsat", "City"))
@@ -270,18 +247,51 @@ class TestCacheCleanliness:
 
 class TestConstruction:
     def test_wraps_prebuilt_engine(self, schema):
-        inner = ParallelDecisionEngine(max_workers=1, cache=DecisionCache())
+        inner = DecisionEngine(cache=DecisionCache())
         with ResilientDecisionEngine(inner, retry=FAST_RETRY) as engine:
             assert engine.engine is inner
             assert engine.is_satisfiable(schema, "City") is True
 
     def test_rejects_engine_plus_kwargs(self):
-        inner = ParallelDecisionEngine(max_workers=1)
+        inner = DecisionEngine()
         with pytest.raises(ReproError):
-            ResilientDecisionEngine(inner, max_workers=4)
-        inner.shutdown()
+            ResilientDecisionEngine(inner, cache=None)
+        # max_workers is accepted and ignored: there is no pool to size.
+        assert ResilientDecisionEngine(inner, max_workers=4).engine is inner
 
     def test_report(self, engine, schema):
         engine.decide(schema, ("dimsat", "City"))
         text = engine.report()
         assert "decisions" in text and "unknown verdicts" in text
+
+
+class TestStatsUnderThreads:
+    def test_concurrent_decisions_are_all_counted(self, engine, schema):
+        """The server shares one engine across its executor threads: no
+        counter update may be lost."""
+        import sys
+        import threading
+
+        threads, per_thread = 8, 200
+        engine.decide(schema, ("dimsat", "City"))  # warm: later calls hit
+        start = engine.stats.decisions
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(
+                    target=lambda: [
+                        engine.decide(schema, ("dimsat", "City"))
+                        for _ in range(per_thread)
+                    ]
+                )
+                for _ in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert engine.stats.decisions - start == threads * per_thread

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.decisioncache import DecisionCache
 from repro.core.implication import is_implied
-from repro.core.parallel import ParallelDecisionEngine
+from repro.core.engine import DecisionEngine
 from repro.core.resilience import ResilientDecisionEngine
 from repro.core.server import ALL_OPS, DECISION_OPS, DecisionServer
 from repro.core.client import DecisionClient, ServerClosed
@@ -25,11 +25,9 @@ from repro.generators.location import location_schema
 from repro.io.json_io import schema_to_json
 
 
-def _engine(max_workers: int = 2) -> ResilientDecisionEngine:
+def _engine() -> ResilientDecisionEngine:
     """A resilient engine over a private cache (no global-state bleed)."""
-    return ResilientDecisionEngine(
-        ParallelDecisionEngine(max_workers=max_workers, cache=DecisionCache())
-    )
+    return ResilientDecisionEngine(DecisionEngine(cache=DecisionCache()))
 
 
 @contextmanager
@@ -99,7 +97,25 @@ class TestWireOpsEndToEnd:
                 response = client.decide(fp, ("dimsat", "Store"))
                 assert response["status"] == "ok"
                 assert response["verdict"] is True
-                assert response["rung"] == "parallel"
+                assert response["rung"] == "primary"
+
+    def test_decisions_make_no_hop_past_the_executor(self, loc_schema):
+        """A decision runs on the ``decision-*`` executor thread that
+        picked it up: serving starts no other thread."""
+        with running_server() as server:
+            before = {thread.ident for thread in threading.enumerate()}
+            with _client(server) as client:
+                fp = client.load_schema(loc_schema)
+                assert client.decide(fp, ("dimsat", "Store"))["verdict"]
+                assert client.implies(fp, "Store.City")["verdict"]
+                assert client.summarizable(fp, "Country", ["City"])["verdict"]
+            started = [
+                thread.name
+                for thread in threading.enumerate()
+                if thread.ident not in before
+            ]
+        assert started
+        assert all(name.startswith("decision") for name in started), started
 
     def test_navigate_plans(self, loc_schema):
         with running_server() as server:
@@ -188,11 +204,6 @@ class TestConcurrentClients:
             frames = []
             for constraint in IMPLIES_WORKLOAD:
                 response = client.implies(fp, constraint)
-                # The witness is a search-order artifact (parallel and
-                # sequential refutation legitimately find different
-                # frozen dimensions); the byte-identity contract is the
-                # verdict and every other field.
-                response.pop("counterexample", None)
                 frames.append(encode_frame(response))
             for target, sources in SUMMARIZABLE_WORKLOAD:
                 response = client.summarizable(fp, target, sources)
@@ -200,7 +211,7 @@ class TestConcurrentClients:
             return frames
 
         # Reference: a fresh server, one client, strictly sequential.
-        with running_server(engine=_engine(max_workers=1)) as server:
+        with running_server(engine=_engine()) as server:
             with _client(server) as client:
                 reference = workload(client, client.load_schema(loc_schema))
 
@@ -243,7 +254,7 @@ class TestConcurrentClients:
     def test_busy_is_never_a_wrong_verdict(self, loc_schema):
         """Saturate a max_inflight=1 server: some calls get BUSY, and
         every non-busy response still matches the sequential kernel."""
-        engine = _engine(max_workers=1)
+        engine = _engine()
         real_implies = engine.implies
 
         def slow_implies(schema, constraint):

@@ -95,8 +95,6 @@ class TestResilientEngine:
 
         engine = ResilientDecisionEngine(
             retry=RetryPolicy(max_attempts=2, base_delay_ms=0.0),
-            max_workers=2,
-            mode="thread",
             cache=DecisionCache(),
         )
         try:

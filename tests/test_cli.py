@@ -585,20 +585,26 @@ class TestTelemetryDir:
 
 
 class TestWorkersAndBudget:
-    def test_audit_with_workers(self, schema_file, capsys):
-        assert main(["--workers", "4", "audit", schema_file]) == 0
+    def test_audit_with_engine(self, schema_file, capsys):
+        assert main(["--engine", "sequential", "audit", schema_file]) == 0
         out = capsys.readouterr().out
         assert "ok   Store" in out
         assert "ok   All" in out
 
-    def test_implies_with_workers(self, schema_file, capsys):
-        assert main(["--workers", "2", "implies", schema_file, "Store -> City"]) == 0
+    def test_implies_with_engine(self, schema_file, capsys):
+        assert (
+            main(["--engine", "sequential", "implies", schema_file, "Store -> City"])
+            == 0
+        )
         assert "implied" in capsys.readouterr().out
 
-    def test_summarizable_with_workers(self, schema_file, capsys):
+    def test_summarizable_with_engine(self, schema_file, capsys):
         assert (
             main(
-                ["--workers", "4", "summarizable", schema_file, "Country", "City"]
+                [
+                    "--engine", "sequential",
+                    "summarizable", schema_file, "Country", "City",
+                ]
             )
             == 0
         )

@@ -1,16 +1,15 @@
-"""Differential tests: parallel engine == sequential kernel == brute force.
+"""Differential tests: decision engine == sequential kernel == brute force.
 
-The :class:`~repro.core.parallel.ParallelDecisionEngine` must be
-observationally identical to the sequential kernel, which in turn must
-agree with the first-principles brute-force oracle
+The :class:`~repro.core.engine.DecisionEngine` must be observationally
+identical to the uncached sequential kernel, which in turn must agree
+with the first-principles brute-force oracle
 (:mod:`repro.baselines.bruteforce`).  On hypothesis-generated random
 schemas this file checks that three-way agreement for all three decision
 problems - category satisfiability, implication, and summarizability -
-across worker counts {1, 4} and both executor modes.
+through both the batch and the single-decision surface.
 
-Each engine gets its *own* decision cache so a verdict cached by one
-configuration can never be served to another: every configuration really
-computes its answers.
+The engine gets its *own* decision cache, so it never serves a verdict a
+kernel call cached: it really computes its answers.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from repro.errors import ConstraintError
 from repro.core.decisioncache import DecisionCache
 from repro.core.dimsat import dimsat
 from repro.core.implication import is_implied
-from repro.core.parallel import ParallelDecisionEngine
+from repro.core.engine import DecisionEngine
 from repro.core.schema import DimensionSchema
 from repro.core.summarizability import (
     is_summarizable_in_schema,
@@ -37,31 +36,10 @@ from tests.property.strategies import constraints
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
-#: (mode, max_workers) configurations under test.  ``thread``/1 exercises
-#: the pure sequential-fallback path, ``thread``/4 the branch fan-out,
-#: ``process``/4 the cross-process batch path.
-CONFIGURATIONS = [("thread", 1), ("thread", 4), ("process", 4)]
-
-
 @pytest.fixture(scope="module")
-def engines():
-    """One long-lived engine per configuration, each with a private cache.
-
-    The process engine is created (and its pool forced into existence)
-    first, before any thread pool runs in this module, so the forked
-    workers never inherit a live thread.
-    """
-    built = {}
-    for mode, workers in CONFIGURATIONS:
-        engine = ParallelDecisionEngine(
-            max_workers=workers, mode=mode, cache=DecisionCache()
-        )
-        if mode == "process":
-            engine._get_executor()
-        built[(mode, workers)] = engine
-    yield built
-    for engine in built.values():
-        engine.shutdown()
+def engine():
+    """One long-lived engine with a private cache."""
+    return DecisionEngine(cache=DecisionCache())
 
 
 @st.composite
@@ -112,35 +90,29 @@ def _brute_force_summarizable(schema, target, sources):
 
 @SETTINGS
 @given(small_schemas())
-def test_dimsat_differential(engines, schema):
-    """Every configuration's batch verdicts == sequential == brute force."""
+def test_dimsat_differential(engine, schema):
+    """The engine's batch verdicts == sequential == brute force."""
     categories = sorted(schema.hierarchy.categories - {ALL})
     oracle = [brute_force_satisfiable(schema, c) for c in categories]
     sequential = [dimsat(schema, c).satisfiable for c in categories]
     assert sequential == oracle
     batch = [(schema, ("dimsat", c)) for c in categories]
-    for config, engine in engines.items():
-        assert engine.decide_many(batch) == oracle, config
+    assert engine.decide_many(batch) == oracle
 
 
 @SETTINGS
 @given(small_schemas())
-def test_dimsat_single_decision_differential(engines, schema):
-    """The branch-fan-out single-decision path agrees too (thread mode
-    parallelizes EXPAND's first-level branches here)."""
+def test_dimsat_single_decision_differential(engine, schema):
+    """The single-decision path agrees too."""
     categories = sorted(schema.hierarchy.categories - {ALL})
     for category in categories:
         expected = dimsat(schema, category).satisfiable
-        for config, engine in engines.items():
-            assert engine.is_satisfiable(schema, category) == expected, (
-                config,
-                category,
-            )
+        assert engine.is_satisfiable(schema, category) == expected, category
 
 
 @settings(max_examples=60, deadline=None)
 @given(constraints(), st.lists(constraints(), max_size=2))
-def test_implication_differential(engines, query, sigma):
+def test_implication_differential(engine, query, sigma):
     """Implication over the location hierarchy with random constraints."""
     try:
         # Random atom mixes can violate the numeric-consistency rule (an
@@ -152,26 +124,24 @@ def test_implication_differential(engines, query, sigma):
         assume(False)
     assert is_implied(schema, query, cache=None) == oracle
     batch = [(schema, ("implies", query))]
-    for config, engine in engines.items():
-        assert engine.is_implied(schema, query) == oracle, config
-        assert engine.decide_many(batch) == [oracle], config
+    assert engine.is_implied(schema, query) == oracle
+    assert engine.decide_many(batch) == [oracle]
 
 
 @SETTINGS
 @given(summarizability_cases())
-def test_summarizability_differential(engines, case):
+def test_summarizability_differential(engine, case):
     schema, target, sources = case
     oracle = _brute_force_summarizable(schema, target, sources)
     assert is_summarizable_in_schema(schema, target, sources, cache=None) == oracle
     batch = [(schema, ("summarizable", target, sources))]
-    for config, engine in engines.items():
-        assert engine.is_summarizable(schema, target, sources) == oracle, config
-        assert engine.decide_many(batch) == [oracle], config
+    assert engine.is_summarizable(schema, target, sources) == oracle
+    assert engine.decide_many(batch) == [oracle]
 
 
 @SETTINGS
 @given(small_schemas())
-def test_batch_dedup_preserves_alignment(engines, schema):
+def test_batch_dedup_preserves_alignment(engine, schema):
     """Duplicated and permuted requests come back aligned with the input,
     identical to asking one by one."""
     categories = sorted(schema.hierarchy.categories - {ALL})
@@ -179,5 +149,4 @@ def test_batch_dedup_preserves_alignment(engines, schema):
     doubled = requests + list(reversed(requests))
     expected = [dimsat(schema, c).satisfiable for c in categories]
     expected = expected + list(reversed(expected))
-    for config, engine in engines.items():
-        assert engine.decide_many(doubled) == expected, config
+    assert engine.decide_many(doubled) == expected

@@ -6,7 +6,7 @@ Two obligations from the ladder's contract:
   :class:`~repro.core.resilience.ResilientDecisionEngine` is
   observationally identical to the sequential kernel and the brute-force
   oracle on hypothesis-generated random schemas (the same three-way
-  agreement ``tests/test_differential.py`` proves for the plain parallel
+  agreement ``tests/test_differential.py`` proves for the plain decision
   engine);
 * **never wrong under faults** - the cache-poisoning hammer injects
   worker-crash and cache-store faults (fixed seed) into a 200-decision
@@ -28,7 +28,7 @@ from repro.core.decisioncache import DecisionCache
 from repro.core.dimsat import dimsat
 from repro.core.faults import inject_faults
 from repro.core.implication import is_implied
-from repro.core.parallel import ParallelDecisionEngine, _decide
+from repro.core.engine import DecisionEngine, decide, normalize_request
 from repro.core.resilience import ResilientDecisionEngine, RetryPolicy
 from repro.core.summarizability import is_summarizable_in_schema
 from repro.generators.location import LOCATION_CONSTRAINTS, location_schema
@@ -66,9 +66,7 @@ def small_schemas(draw):
 
 @pytest.fixture(scope="module")
 def resilient():
-    engine = ResilientDecisionEngine(
-        retry=FAST_RETRY, max_workers=4, mode="thread", cache=DecisionCache()
-    )
+    engine = ResilientDecisionEngine(retry=FAST_RETRY, cache=DecisionCache())
     yield engine
     engine.shutdown()
 
@@ -154,7 +152,7 @@ def test_cache_poisoning_hammer():
 
     cache = DecisionCache()
     engine = ResilientDecisionEngine(
-        retry=FAST_RETRY, max_workers=4, mode="thread", cache=cache
+        retry=FAST_RETRY, cache=cache
     )
     try:
         with inject_faults(HAMMER_SPEC) as injector:
@@ -165,8 +163,6 @@ def test_cache_poisoning_hammer():
 
         # Every decision completed: correct verdict or typed UNKNOWN.
         assert len(outcomes) == 200
-        from repro.core.parallel import normalize_request
-
         wrong = []
         unknown = 0
         for (schema_i, request), outcome in zip(items, outcomes):
@@ -185,7 +181,7 @@ def test_cache_poisoning_hammer():
         for full_key, stored in list(cache._data.items()):
             fingerprint, key = full_key[0], full_key[1:]
             assert fingerprint == schema.fingerprint()
-            recomputed = _decide(schema, key[:-1], None, None, None)
+            recomputed = decide(DecisionEngine(cache=None), schema, key[:-1])
             stored_verdict = (
                 stored if isinstance(stored, bool)
                 else getattr(stored, "satisfiable", getattr(stored, "implied", None))
@@ -204,7 +200,7 @@ def test_hammer_is_deterministic():
     def run():
         engine = ResilientDecisionEngine(
             retry=RetryPolicy(max_attempts=2, base_delay_ms=0.0),
-            max_workers=1, mode="thread", cache=DecisionCache(),
+            cache=DecisionCache(),
         )
         try:
             with inject_faults("worker-crash:p=0.5;seed=99") as injector:

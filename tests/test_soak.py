@@ -119,7 +119,7 @@ class TestFaultedSoak:
         "engine,spec",
         [
             ("compiled", "worker-crash:p=0.3,seed=7;cache-store:p=0.2"),
-            ("parallel", "worker-crash:p=0.4,seed=3;pool-exhaustion:p=0.2"),
+            ("sequential", "worker-crash:p=0.4,seed=3"),
         ],
     )
     def test_faults_never_produce_wrong_verdicts(self, engine, spec):
@@ -177,7 +177,7 @@ class TestViolationMachinery:
         # not count as wrong or as a violation.
         report = run_soak(
             SoakConfig(
-                engine="parallel",
+                engine="sequential",
                 families=["np-boundary"],
                 budget_ms=0.0,
                 retries=1,

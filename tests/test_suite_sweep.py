@@ -22,7 +22,7 @@ from repro.core.normalize import (
 )
 from repro.core.profile import profile_report, schema_profile
 from repro.core.budget import DecisionBudget
-from repro.core.parallel import ParallelDecisionEngine
+from repro.core.engine import DecisionEngine
 from repro.generators.adversarial import adversarial_corpus
 from repro.generators.suite import suite_schemas
 from repro.io import schema_from_json, schema_report, schema_to_json
@@ -121,13 +121,8 @@ class TestAdversarialSweep:
         assert rebuilt.fingerprint() == case.schema.fingerprint()
 
     def test_budgeted_engine_agrees_or_degrades(self, case):
-        engine = ParallelDecisionEngine(max_workers=2, budget=self.BUDGET)
-        try:
-            (outcome,) = engine.try_decide_many(
-                [(case.schema, ("dimsat", case.root))]
-            )
-        finally:
-            engine.shutdown()
+        engine = DecisionEngine(budget=self.BUDGET)
+        (outcome,) = engine.try_decide_many([(case.schema, ("dimsat", case.root))])
         if not isinstance(outcome, BaseException):
             assert outcome == dimsat(case.schema, case.root).satisfiable
 

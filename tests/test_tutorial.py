@@ -119,6 +119,37 @@ class TestSection7Navigation:
         assert plan.kind == "rewritten"
 
 
+class TestSection10BudgetsAndBatches:
+    def test_a_repeated_request_is_decided_once(self, ds):
+        """'requests are deduplicated by schema fingerprint and canonical
+        query, each unique one is decided once'."""
+        from repro.core import DecisionBudget, DecisionCache, DecisionEngine
+
+        cache = DecisionCache()
+        engine = DecisionEngine(budget=DecisionBudget(time_ms=500), cache=cache)
+        verdicts = engine.decide_many([
+            (ds, ("dimsat", "Shipment")),
+            (ds, ("implies", "Shipment -> Region")),
+            (ds, ("dimsat", "Shipment")),
+        ])
+        assert verdicts == [True, False, True]
+        assert cache.stats.hits == 0  # the repeat never reached the cache
+
+    def test_a_blown_budget_is_a_typed_refusal_that_caches_nothing(self, ds):
+        """'A blown budget is a typed refusal ... and it leaves no cache
+        entry - re-running with a larger budget computes the real
+        answer.'"""
+        from repro.core import DecisionBudget, DecisionCache, DecisionEngine
+        from repro.errors import BudgetExceeded
+
+        cache = DecisionCache()
+        starved = DecisionEngine(budget=DecisionBudget(max_nodes=0), cache=cache)
+        with pytest.raises(BudgetExceeded):
+            starved.is_satisfiable(ds, "Shipment")
+        assert len(cache) == 0
+        assert DecisionEngine(cache=cache).is_satisfiable(ds, "Shipment")
+
+
 class TestSection11Observability:
     def test_traced_decision_records_the_documented_spans(self, ds):
         from repro.core.trace import tracer, tracing
@@ -231,14 +262,11 @@ class TestSection17Serving:
         import threading
 
         from repro.core.decisioncache import DecisionCache
-        from repro.core.parallel import ParallelDecisionEngine
         from repro.core.resilience import ResilientDecisionEngine
         from repro.core.server import DecisionServer
 
         server = DecisionServer(
-            engine=ResilientDecisionEngine(
-                ParallelDecisionEngine(max_workers=2, cache=DecisionCache())
-            )
+            engine=ResilientDecisionEngine(cache=DecisionCache())
         )
         thread = threading.Thread(target=server.run, daemon=True)
         thread.start()
