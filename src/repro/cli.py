@@ -171,14 +171,10 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if engine is not None:
         categories = [c for c in sorted(schema.hierarchy.categories) if c != ALL]
         requests = [(schema, ("dimsat", c)) for c in categories]
-        if hasattr(engine, "decide_many_outcomes"):
-            # Resilient engine: a category no rung could decide shows
-            # as UNKN instead of killing the audit.
-            outcomes = engine.decide_many_outcomes(requests)
-            verdicts = [o.verdict for o in outcomes]
-        else:
-            verdicts = engine.decide_many(requests)
-        report = dict(zip(categories, verdicts))
+        # A category no rung could decide shows as UNKN instead of
+        # killing the audit.
+        outcomes = engine.decide_many_outcomes(requests)
+        report = dict(zip(categories, [o.verdict for o in outcomes]))
         report[ALL] = True
     else:
         report = satisfiability_report(schema)
@@ -891,8 +887,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-inflight", type=int, default=8, metavar="N",
-        help="decision requests evaluated concurrently before new ones "
-        "get a typed busy response (default 8)",
+        help="requests (decisions and writes) evaluated concurrently "
+        "before new ones get a typed busy response (default 8)",
     )
     serve.set_defaults(handler=_cmd_serve)
 

@@ -284,8 +284,14 @@ class AuditVerifyReport:
         return "\n".join(lines)
 
 
-def _replay(schema: object, request: List[object]) -> bool:
-    """Recompute one canonical request on the plain sequential kernel."""
+def oracle_decide(schema: object, request: Sequence[object]) -> bool:
+    """Ground truth for one decision request: the plain sequential kernel.
+
+    Direct kernel calls with ``cache=None``: no fault-injection sites, no
+    decision cache, no audit records - the reference that audit-verify,
+    the persistent cache's load-time replay and the soak harness compare
+    every engine verdict against.
+    """
     from repro.core.implication import is_category_satisfiable, is_implied
     from repro.core.summarizability import is_summarizable_in_schema
 
@@ -298,7 +304,7 @@ def _replay(schema: object, request: List[object]) -> bool:
         return is_summarizable_in_schema(
             schema, request[1], tuple(request[2]), cache=None  # type: ignore[arg-type]
         )
-    raise ReproError(f"unknown audit record kind {kind!r}")
+    raise ReproError(f"unknown request kind {kind!r}")
 
 
 def load_audit_records(audit_path: str) -> List[Dict[str, Any]]:
@@ -401,7 +407,7 @@ def verify_audit_log(
             if key in memo:
                 replayed = memo[key]
             else:
-                replayed = _replay(schema, request)
+                replayed = oracle_decide(schema, request)
                 memo[key] = replayed
             report.verified += 1
             recorded_bytes = json.dumps(record["verdict"]).encode("utf-8")

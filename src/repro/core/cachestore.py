@@ -39,7 +39,7 @@ import pickle
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
-from repro.core.auditlog import _replay, _verdict_of
+from repro.core.auditlog import _verdict_of, oracle_decide
 from repro.core.faults import FAULTS, CacheStoreFault
 from repro.core.metrics import METRICS
 from repro.errors import ReproError
@@ -389,7 +389,7 @@ def load_cache(
                 report.skipped_options += 1
             else:
                 request = list(key[:-1])
-                replayed = _replay(schema, request)
+                replayed = oracle_decide(schema, request)
                 report.replayed += 1
                 if replayed != _verdict_of(value):
                     report.dropped_divergent += 1

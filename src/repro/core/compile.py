@@ -748,7 +748,7 @@ class CompiledDecisionEngine(DecisionEngine):
 
     A :class:`~repro.core.engine.DecisionEngine` whose cold verdicts come
     from the compiled artifact: the navigator and view selection batch
-    through the inherited :meth:`decide_many`, and
+    through the inherited :meth:`decide_many_outcomes`, and
     :class:`~repro.core.resilience.ResilientDecisionEngine` can wrap it
     as its primary rung (compile failures then ride the existing
     degradation ladder).  Verdicts memoize through the shared

@@ -13,16 +13,20 @@ This module holds the only engine-side request code:
   and the decision cache both key on;
 * :func:`decide` - the one ``dimsat``/``implies``/``summarizable`` kind
   dispatch onto an engine's three decision procedures;
+* :func:`answer_batch` - the one batch loop every engine answers batches
+  with: normalize, dedup, answer in input order;
+* :class:`DecisionOutcome` / :class:`AttemptRecord` - the per-request
+  answer a batch returns, with the provenance of failed attempts;
 * :class:`DecisionEngine` - the kernel answered through the
   :class:`~repro.core.decisioncache.DecisionCache` under a fresh copy of
-  the engine's budget per decision, with the one batch loop
-  (:meth:`DecisionEngine.try_decide_many`) that
-  :class:`~repro.core.compile.CompiledDecisionEngine` inherits.
+  the engine's budget per decision;
+  :class:`~repro.core.compile.CompiledDecisionEngine` inherits it.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro._types import Category
@@ -37,7 +41,7 @@ from repro.core.faults import FAULTS
 from repro.core.implication import ImplicationResult, implies as run_implies
 from repro.core.schema import DimensionSchema
 from repro.core.summarizability import _check_categories, _is_summarizable_uncached
-from repro.errors import ReproError
+from repro.errors import DecisionUnavailable, ReproError
 
 #: A normalized decision request: ``("dimsat", category)``,
 #: ``("implies", canonical_constraint_text)``, or
@@ -97,14 +101,98 @@ def decide(engine: Any, schema: DimensionSchema, key: RequestKey) -> bool:
     raise ReproError(f"unknown decision request kind {kind!r}")
 
 
-def _decide(engine: Any, schema: DimensionSchema, key: RequestKey) -> bool:
-    """:func:`decide` behind the per-decision fault checkpoint.
+@dataclass(frozen=True)
+class AttemptRecord:
+    """Provenance of one failed attempt at a decision."""
 
-    Every batch request and every rung of the resilience ladder passes
-    through here, so injected worker faults hit all rungs uniformly.
+    #: ``"primary"`` or ``"sequential"`` - the ladder rung that failed.
+    rung: str
+    #: 0-based attempt index within the rung.
+    attempt: int
+    #: Exception class name (``"InjectedFault"``, ``"BudgetExceeded"`` ...).
+    error_type: str
+    #: The exception's message.
+    message: str
+
+    def as_dict(self) -> Dict[str, Any]:
+        return {
+            "rung": self.rung,
+            "attempt": self.attempt,
+            "error_type": self.error_type,
+            "message": self.message,
+        }
+
+
+@dataclass(frozen=True)
+class DecisionOutcome:
+    """An engine's answer to one batch request.
+
+    ``status`` is ``"ok"`` (``verdict`` is the sound boolean) or
+    ``"unknown"`` (``verdict`` is ``None``; every rung failed and
+    ``failures`` says how).  ``rung`` names the ladder rung that produced
+    the verdict; ``attempts`` counts every attempt made, successful or
+    not.
     """
-    FAULTS.worker()
-    return decide(engine, schema, key)
+
+    verdict: Optional[bool]
+    status: str
+    rung: str
+    attempts: int
+    failures: Tuple[AttemptRecord, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return self.status == "ok"
+
+    @property
+    def unknown(self) -> bool:
+        return self.status == "unknown"
+
+    def as_dict(self) -> Dict[str, Any]:
+        return {
+            "verdict": self.verdict,
+            "status": self.status,
+            "rung": self.rung,
+            "attempts": self.attempts,
+            "failures": [record.as_dict() for record in self.failures],
+        }
+
+
+def answer_batch(
+    items: Iterable[Tuple[DimensionSchema, Sequence[object]]],
+    answer: Callable[[DimensionSchema, RequestKey], DecisionOutcome],
+) -> List[DecisionOutcome]:
+    """The one batch loop: ``answer`` each distinct request once.
+
+    Requests are normalized first (see :func:`normalize_request`), so a
+    malformed request raises before anything is decided - it is a
+    caller bug, not a service fault.  They are then deduped by
+    ``(schema fingerprint, canonical request)`` and answered in input
+    order; duplicates share one outcome.
+    """
+    pairs = [(schema, normalize_request(request)) for schema, request in items]
+    answered: Dict[Tuple[str, RequestKey], DecisionOutcome] = {}
+    outcomes: List[DecisionOutcome] = []
+    for schema, key in pairs:
+        ukey = (schema.fingerprint(), key)
+        outcome = answered.get(ukey)
+        if outcome is None:
+            outcome = answered[ukey] = answer(schema, key)
+        outcomes.append(outcome)
+    return outcomes
+
+
+def verdicts(outcomes: List[DecisionOutcome]) -> List[bool]:
+    """The booleans of a batch's outcomes; raises
+    :class:`~repro.errors.DecisionUnavailable` when any is UNKNOWN."""
+    unknown = [outcome for outcome in outcomes if outcome.unknown]
+    if unknown:
+        raise DecisionUnavailable(
+            f"{len(unknown)} of {len(outcomes)} batch decisions "
+            "unavailable after retries and sequential fallback",
+            unknown[0].failures,
+        )
+    return [outcome.verdict for outcome in outcomes]  # type: ignore[misc]
 
 
 class DecisionEngine:
@@ -229,41 +317,22 @@ class DecisionEngine:
         """Answer a batch of ``(schema, request)`` pairs.
 
         Verdicts come back as booleans aligned with the input order:
-        satisfiable / implied / summarizable.  A request that fails (a
-        budget abort, an injected fault) raises; use
-        :meth:`try_decide_many` when the batch must survive individual
-        failures.
+        satisfiable / implied / summarizable.  The first request that
+        fails (a budget abort, an injected fault) raises.
         """
-        results = self.try_decide_many(items)
-        for result in results:
-            if isinstance(result, BaseException):
-                raise result
-        return results  # type: ignore[return-value]
+        return verdicts(self.decide_many_outcomes(items))
 
-    def try_decide_many(
+    def decide_many_outcomes(
         self,
         items: Iterable[Tuple[DimensionSchema, Sequence[object]]],
-    ) -> List[object]:
-        """:meth:`decide_many` with per-request fault containment.
+    ) -> List[DecisionOutcome]:
+        """The batch as :class:`DecisionOutcome` records (see
+        :func:`answer_batch`).  Every outcome is ``ok`` on rung
+        ``"primary"`` after one attempt; a failing request raises.  Each
+        request first passes the per-decision fault checkpoint."""
 
-        Requests are normalized (see :func:`normalize_request`) and
-        deduped by ``(schema fingerprint, canonical request)``, so each
-        distinct question is decided once per batch, in input order.
-        Each element of the returned list is either the boolean verdict
-        or the exception that request's decision raised.  Malformed
-        requests raise immediately (they are caller bugs, not service
-        faults).  Duplicated requests share one decision, so they also
-        share one failure.
-        """
-        pairs = [(schema, normalize_request(request)) for schema, request in items]
-        answered: Dict[Tuple[str, RequestKey], object] = {}
-        results: List[object] = []
-        for schema, key in pairs:
-            ukey = (schema.fingerprint(), key)
-            if ukey not in answered:
-                try:
-                    answered[ukey] = _decide(self, schema, key)
-                except Exception as error:  # contained per request
-                    answered[ukey] = error
-            results.append(answered[ukey])
-        return results
+        def answer(schema: DimensionSchema, key: RequestKey) -> DecisionOutcome:
+            FAULTS.worker()
+            return DecisionOutcome(decide(self, schema, key), "ok", "primary", 1)
+
+        return answer_batch(items, answer)

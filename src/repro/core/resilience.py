@@ -47,7 +47,16 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 from repro._types import Category
 from repro.core.auditlog import AUDIT
 from repro.core.dimsat import DimsatResult
-from repro.core.engine import DecisionEngine, RequestKey, _decide, normalize_request
+from repro.core.engine import (
+    AttemptRecord,
+    DecisionEngine,
+    DecisionOutcome,
+    RequestKey,
+    answer_batch,
+    decide,
+    normalize_request,
+    verdicts,
+)
 from repro.core.faults import FAULTS
 from repro.core.implication import ImplicationResult
 from repro.core.metrics import METRICS
@@ -55,11 +64,7 @@ from repro.core.schema import DimensionSchema
 from repro.core.trace import TRACER
 from repro.errors import BudgetExceeded, DecisionUnavailable, ReproError
 
-_M_RETRIES = METRICS.counter("resilience.retries")
-_M_DEGRADED = METRICS.counter("resilience.degraded_sequential")
-_M_UNKNOWN = METRICS.counter("resilience.unknown_verdicts")
 _M_BREAKER_TRIPS = METRICS.counter("resilience.breaker_trips")
-_M_BREAKER_SKIPS = METRICS.counter("resilience.breaker_open_skips")
 _H_ATTEMPTS = METRICS.histogram("resilience.attempts_per_decision")
 
 #: Failures worth retrying: transient OS-level trouble (which injected
@@ -77,63 +82,6 @@ def classify_failure(error: BaseException) -> str:
     if isinstance(error, RETRYABLE_ERRORS):
         return "retryable"
     return "fatal"
-
-
-@dataclass(frozen=True)
-class AttemptRecord:
-    """Provenance of one failed attempt at a decision."""
-
-    #: ``"primary"`` or ``"sequential"`` - the ladder rung that failed.
-    rung: str
-    #: 0-based attempt index within the rung.
-    attempt: int
-    #: Exception class name (``"InjectedFault"``, ``"BudgetExceeded"`` ...).
-    error_type: str
-    #: The exception's message.
-    message: str
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "rung": self.rung,
-            "attempt": self.attempt,
-            "error_type": self.error_type,
-            "message": self.message,
-        }
-
-
-@dataclass(frozen=True)
-class DecisionOutcome:
-    """The resilient engine's answer to one decision request.
-
-    ``status`` is ``"ok"`` (``verdict`` is the sound boolean) or
-    ``"unknown"`` (``verdict`` is ``None``; every rung failed and
-    ``failures`` says how).  ``rung`` names the ladder rung that produced
-    the verdict; ``attempts`` counts every attempt made, successful or
-    not.
-    """
-
-    verdict: Optional[bool]
-    status: str
-    rung: str
-    attempts: int
-    failures: Tuple[AttemptRecord, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-    @property
-    def unknown(self) -> bool:
-        return self.status == "unknown"
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "verdict": self.verdict,
-            "status": self.status,
-            "rung": self.rung,
-            "attempts": self.attempts,
-            "failures": [record.as_dict() for record in self.failures],
-        }
 
 
 @dataclass(frozen=True)
@@ -270,9 +218,10 @@ class ResilientDecisionEngine:
     The single-decision surface (:meth:`dimsat`, :meth:`implies`,
     :meth:`is_summarizable`, ...) mirrors the wrapped engine's but raises
     :class:`~repro.errors.DecisionUnavailable` instead of transient
-    errors; the batch surface adds :meth:`decide_many_outcomes`, whose
-    per-request :class:`DecisionOutcome` records are never exceptions -
-    the form a service loop wants.
+    errors.  On the batch surface every request walks the same ladder;
+    :meth:`decide_many_outcomes` answers each with a
+    :class:`DecisionOutcome` that is never an exception - the form a
+    service loop wants.
     """
 
     def __init__(
@@ -319,33 +268,35 @@ class ResilientDecisionEngine:
     # The ladder
     # ------------------------------------------------------------------
 
-    def _count(self, counter: str, amount: int = 1) -> None:
+    def _count(self, name: str, amount: int = 1) -> None:
+        """Bump the :class:`ResilienceStats` field ``name`` and, for every
+        ladder event (all fields but ``decisions``), the
+        ``resilience.<name>`` registry counter."""
         with self._lock:
-            setattr(self.stats, counter, getattr(self.stats, counter) + amount)
-
-    def _sleep(self, rung_attempt: int, token: int) -> None:
-        delay = self.retry.delay_ms(rung_attempt, token)
-        if delay > 0:
-            time.sleep(delay / 1000.0)
+            setattr(self.stats, name, getattr(self.stats, name) + amount)
+        if name != "decisions":
+            METRICS.counter(f"resilience.{name}").inc(amount)
 
     def _run_rung(
         self,
         rung: str,
-        run: Callable[[], Any],
+        engine: DecisionEngine,
+        call: Callable[[DecisionEngine], Any],
+        key: RequestKey,
+        fingerprint: str,
         failures: List[AttemptRecord],
-        token: int,
     ) -> Tuple[bool, Any, int]:
-        """Run one ladder rung with retries.
+        """Run one ladder rung with retries, each attempt behind the
+        per-decision fault checkpoint.
 
         Returns ``(succeeded, value, attempts_made)``.  Fatal errors are
         re-raised; degradable errors (budget aborts) end the rung after
         one attempt - the same ceilings would abort again.
         """
-        attempts = 0
         for attempt in range(self.retry.max_attempts):
-            attempts += 1
             try:
-                return True, run(), attempts
+                FAULTS.worker()
+                return True, call(engine), attempt + 1
             except Exception as exc:
                 kind = classify_failure(exc)
                 if kind == "fatal":
@@ -354,10 +305,9 @@ class ResilientDecisionEngine:
                     AttemptRecord(rung, attempt, type(exc).__name__, str(exc))
                 )
                 if kind == "degradable":
-                    break
+                    return False, None, attempt + 1
                 if attempt + 1 < self.retry.max_attempts:
                     self._count("retries")
-                    _M_RETRIES.inc()
                     if TRACER.enabled:
                         TRACER.event(
                             "resilience.retry",
@@ -365,82 +315,88 @@ class ResilientDecisionEngine:
                             attempt=attempt,
                             error=type(exc).__name__,
                         )
-                    self._sleep(attempt, token)
-        return False, None, attempts
+                    token = zlib.crc32(f"{rung}:{key[0]}:{fingerprint}".encode())
+                    delay = self.retry.delay_ms(attempt, token)
+                    if delay > 0:
+                        time.sleep(delay / 1000.0)
+        return False, None, self.retry.max_attempts
 
     def _ladder(
         self,
         schema: DimensionSchema,
-        label: str,
+        key: RequestKey,
         call: Callable[[DecisionEngine], Any],
-        request: RequestKey,
-    ) -> Any:
-        """Single-decision ladder; raises ``DecisionUnavailable`` at the
-        bottom.  ``call`` runs the decision on one rung's engine, behind
-        the per-decision fault checkpoint.  ``request`` is the canonical
-        request key, recorded on the audit log when every rung fails
-        (successful rungs are audited by the engine that answers)."""
+    ) -> Tuple[str, Any, int, List[AttemptRecord]]:
+        """The degradation ladder for one request: breaker -> primary
+        rung with retries -> sequential rung -> typed UNKNOWN.
 
-        def attempt(engine: DecisionEngine) -> Any:
-            FAULTS.worker()
-            return call(engine)
-
-        self._count("decisions")
+        ``call`` runs the decision on one rung's engine; ``key`` is the
+        canonical request, recorded on the audit log when every rung
+        fails (successful rungs are audited by the engine that answers).
+        Returns ``(rung, value, attempts, failures)``, where ``rung`` is
+        ``"unknown"`` (and ``value`` ``None``) when no rung answered.
+        """
         fingerprint = schema.fingerprint()
-        token = zlib.crc32(f"{label}:{fingerprint}".encode("utf-8"))
         failures: List[AttemptRecord] = []
-        total_attempts = 0
-        with TRACER.span("resilience.decide", kind=label) as span:
+        ok, value, attempts, rung = False, None, 0, "primary"
+        with TRACER.span("resilience.decide", kind=key[0]) as span:
             if self.breaker.allow(fingerprint):
                 ok, value, attempts = self._run_rung(
-                    "primary", lambda: attempt(self.engine), failures, token
+                    "primary", self.engine, call, key, fingerprint, failures
                 )
-                total_attempts += attempts
                 if ok:
                     self.breaker.record_success(fingerprint)
-                    span.set(rung="primary", attempts=total_attempts)
-                    _H_ATTEMPTS.observe(total_attempts)
-                    return value
-                self.breaker.record_failure(fingerprint)
+                else:
+                    self.breaker.record_failure(fingerprint)
             else:
                 self._count("breaker_open_skips")
-                _M_BREAKER_SKIPS.inc()
                 failures.append(
                     AttemptRecord(
                         "primary", 0, "CircuitOpen",
                         f"circuit open for schema {fingerprint[:12]}",
                     )
                 )
-            self._count("degraded_sequential")
-            _M_DEGRADED.inc()
-            if TRACER.enabled:
-                TRACER.event("resilience.degrade", kind=label, to="sequential")
-            ok, value, attempts = self._run_rung(
-                "sequential", lambda: attempt(self.sequential), failures,
-                token ^ 0x5E0,
+            if not ok:
+                self._count("degraded_sequential")
+                if TRACER.enabled:
+                    TRACER.event(
+                        "resilience.degrade", kind=key[0], to="sequential"
+                    )
+                ok, value, more = self._run_rung(
+                    "sequential", self.sequential, call, key, fingerprint,
+                    failures,
+                )
+                attempts += more
+                rung = "sequential" if ok else "unknown"
+            span.set(rung=rung, attempts=attempts)
+            _H_ATTEMPTS.observe(attempts)
+            if not ok:
+                self._count("unknown_verdicts")
+                if TRACER.enabled:
+                    TRACER.event(
+                        "resilience.unknown", kind=key[0], attempts=attempts
+                    )
+                if AUDIT.enabled:
+                    AUDIT.record_unknown(schema, key, attempts, failures)
+        return rung, value, attempts, failures
+
+    def _decision(
+        self,
+        schema: DimensionSchema,
+        key: RequestKey,
+        call: Callable[[DecisionEngine], Any],
+    ) -> Any:
+        """One single decision down the ladder; raises
+        ``DecisionUnavailable`` at the bottom."""
+        self._count("decisions")
+        rung, value, attempts, failures = self._ladder(schema, key, call)
+        if rung == "unknown":
+            raise DecisionUnavailable(
+                f"{key[0]} decision unavailable after {attempts} attempts "
+                f"({', '.join(sorted({f.error_type for f in failures}))})",
+                tuple(failures),
             )
-            total_attempts += attempts
-            if ok:
-                span.set(rung="sequential", attempts=total_attempts)
-                _H_ATTEMPTS.observe(total_attempts)
-                return value
-            self._count("unknown_verdicts")
-            _M_UNKNOWN.inc()
-            _H_ATTEMPTS.observe(total_attempts)
-            span.set(rung="unknown", attempts=total_attempts)
-            if TRACER.enabled:
-                TRACER.event(
-                    "resilience.unknown", kind=label, attempts=total_attempts
-                )
-            if AUDIT.enabled:
-                AUDIT.record_unknown(
-                    schema, request, total_attempts, failures
-                )
-        raise DecisionUnavailable(
-            f"{label} decision unavailable after {total_attempts} attempts "
-            f"({', '.join(sorted({f.error_type for f in failures}))})",
-            tuple(failures),
-        )
+        return value
 
     # ------------------------------------------------------------------
     # Single decisions (mirror the wrapped engine's surface)
@@ -448,11 +404,10 @@ class ResilientDecisionEngine:
 
     def dimsat(self, schema: DimensionSchema, category: Category) -> DimsatResult:
         """Category satisfiability through the ladder."""
-        return self._ladder(
+        return self._decision(
             schema,
-            "dimsat",
-            lambda engine: engine.dimsat(schema, category),
             ("dimsat", category),
+            lambda engine: engine.dimsat(schema, category),
         )
 
     def is_satisfiable(self, schema: DimensionSchema, category: Category) -> bool:
@@ -462,11 +417,10 @@ class ResilientDecisionEngine:
         self, schema: DimensionSchema, constraint: object
     ) -> ImplicationResult:
         """``ds |= alpha`` through the ladder."""
-        return self._ladder(
+        return self._decision(
             schema,
-            "implies",
-            lambda engine: engine.implies(schema, constraint),
             normalize_request(("implies", constraint)),
+            lambda engine: engine.implies(schema, constraint),
         )
 
     def is_implied(self, schema: DimensionSchema, constraint: object) -> bool:
@@ -480,11 +434,10 @@ class ResilientDecisionEngine:
     ) -> bool:
         """Theorem 1 through the ladder."""
         source_key = tuple(sorted(set(sources)))
-        return self._ladder(
+        return self._decision(
             schema,
-            "summarizable",
-            lambda engine: engine.is_summarizable(schema, target, source_key),
             ("summarizable", target, source_key),
+            lambda engine: engine.is_summarizable(schema, target, source_key),
         )
 
     # ------------------------------------------------------------------
@@ -509,151 +462,35 @@ class ResilientDecisionEngine:
         degraded to UNKNOWN (use :meth:`decide_many_outcomes` to keep the
         rest of the batch).
         """
-        outcomes = self.decide_many_outcomes(items)
-        unknown = [o for o in outcomes if o.unknown]
-        if unknown:
-            raise DecisionUnavailable(
-                f"{len(unknown)} of {len(outcomes)} batch decisions "
-                "unavailable after retries and sequential fallback",
-                unknown[0].failures,
-            )
-        return [o.verdict for o in outcomes]  # type: ignore[misc]
+        return verdicts(self.decide_many_outcomes(items))
 
     def decide_many_outcomes(
         self,
         items: Iterable[Tuple[DimensionSchema, Sequence[object]]],
     ) -> List[DecisionOutcome]:
-        """The batch ladder: every request gets an outcome, never an
-        exception (service faults; malformed requests still raise).
+        """Every request gets an outcome, never an exception for a
+        service fault (malformed requests still raise).
 
-        Round 1 sends the whole batch through the wrapped engine's
-        :meth:`~repro.core.engine.DecisionEngine.try_decide_many`
-        (deduped, decided in order); failed requests are retried as shrinking
-        sub-batches with backoff, then degraded to the sequential kernel,
-        then - only if that also fails - answered UNKNOWN with their full
-        failure provenance.
+        The batch is normalized and deduped by :func:`answer_batch`;
+        each distinct request walks the same ladder a single decision
+        does, so a batch answers exactly as its requests decided one by
+        one.  ``stats.decisions`` counts every request, duplicates
+        included.
         """
         pairs = list(items)
         self._count("decisions", len(pairs))
-        outcomes: List[Optional[DecisionOutcome]] = [None] * len(pairs)
-        failures: List[List[AttemptRecord]] = [[] for _ in pairs]
-        attempts_made = [0] * len(pairs)
 
-        # Partition by breaker state up front: open circuits go straight
-        # to the sequential rung.
-        primary_pending: List[int] = []
-        sequential_pending: List[int] = []
-        for index, (schema, _request) in enumerate(pairs):
-            if self.breaker.allow(schema.fingerprint()):
-                primary_pending.append(index)
-            else:
-                self._count("breaker_open_skips")
-                _M_BREAKER_SKIPS.inc()
-                failures[index].append(
-                    AttemptRecord(
-                        "primary", 0, "CircuitOpen",
-                        f"circuit open for schema {schema.fingerprint()[:12]}",
-                    )
-                )
-                sequential_pending.append(index)
-
-        # Rung 1: the primary engine, whole-batch, retried in rounds.
-        for attempt in range(self.retry.max_attempts):
-            if not primary_pending:
-                break
-            sub = [pairs[i] for i in primary_pending]
-            results = self.engine.try_decide_many(sub)
-            retry_round: List[int] = []
-            for index, result in zip(primary_pending, results):
-                attempts_made[index] += 1
-                schema = pairs[index][0]
-                if not isinstance(result, BaseException):
-                    outcomes[index] = DecisionOutcome(
-                        verdict=bool(result),
-                        status="ok",
-                        rung="primary",
-                        attempts=attempts_made[index],
-                        failures=tuple(failures[index]),
-                    )
-                    self.breaker.record_success(schema.fingerprint())
-                    continue
-                kind = classify_failure(result)
-                if kind == "fatal":
-                    raise result
-                failures[index].append(
-                    AttemptRecord(
-                        "primary", attempt, type(result).__name__, str(result)
-                    )
-                )
-                self.breaker.record_failure(schema.fingerprint())
-                if kind == "retryable" and attempt + 1 < self.retry.max_attempts:
-                    retry_round.append(index)
-                    self._count("retries")
-                    _M_RETRIES.inc()
-                else:
-                    sequential_pending.append(index)
-            primary_pending = retry_round
-            if primary_pending and attempt + 1 < self.retry.max_attempts:
-                if TRACER.enabled:
-                    TRACER.event(
-                        "resilience.retry",
-                        rung="primary",
-                        attempt=attempt,
-                        requests=len(primary_pending),
-                    )
-                self._sleep(attempt, token=attempt)
-
-        # Rung 2: the sequential kernel, per request, retried.
-        for index in sorted(sequential_pending):
-            schema, request = pairs[index]
-            key: RequestKey = normalize_request(request)
-            self._count("degraded_sequential")
-            _M_DEGRADED.inc()
-            if TRACER.enabled:
-                TRACER.event(
-                    "resilience.degrade", kind=str(key[0]), to="sequential"
-                )
-            token = zlib.crc32(repr(key).encode("utf-8"))
-            ok, value, attempts = self._run_rung(
-                "sequential",
-                lambda: _decide(self.sequential, schema, key),
-                failures[index],
-                token,
+        def answer(schema: DimensionSchema, key: RequestKey) -> DecisionOutcome:
+            rung, value, attempts, failures = self._ladder(
+                schema, key, lambda engine: decide(engine, schema, key)
             )
-            attempts_made[index] += attempts
-            if ok:
-                outcomes[index] = DecisionOutcome(
-                    verdict=bool(value),
-                    status="ok",
-                    rung="sequential",
-                    attempts=attempts_made[index],
-                    failures=tuple(failures[index]),
+            if rung == "unknown":
+                return DecisionOutcome(
+                    None, "unknown", rung, attempts, tuple(failures)
                 )
-            else:
-                self._count("unknown_verdicts")
-                _M_UNKNOWN.inc()
-                if TRACER.enabled:
-                    TRACER.event(
-                        "resilience.unknown",
-                        kind=str(key[0]),
-                        attempts=attempts_made[index],
-                    )
-                if AUDIT.enabled:
-                    AUDIT.record_unknown(
-                        schema, key, attempts_made[index], failures[index]
-                    )
-                outcomes[index] = DecisionOutcome(
-                    verdict=None,
-                    status="unknown",
-                    rung="unknown",
-                    attempts=attempts_made[index],
-                    failures=tuple(failures[index]),
-                )
+            return DecisionOutcome(value, "ok", rung, attempts, tuple(failures))
 
-        for index, outcome in enumerate(outcomes):
-            assert outcome is not None, f"request {index} left undecided"
-            _H_ATTEMPTS.observe(outcome.attempts)
-        return outcomes  # type: ignore[return-value]
+        return answer_batch(pairs, answer)
 
     def report(self) -> str:
         """A human-readable stats block."""

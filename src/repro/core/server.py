@@ -20,7 +20,8 @@ Architecture
   frames and dispatches.  (The compiled tier's per-root solver is locked
   for exactly this multi-threaded use.)
 * **Backpressure is typed, never wrong.**  Past ``max_inflight``
-  concurrently executing decisions the server answers ``status="busy"``
+  concurrently executing requests (decisions, ``load-schema`` and
+  ``edit`` alike) the server answers ``status="busy"``
   *without evaluating the request* - a BUSY can always be retried and
   can never stand in for a verdict.  Per-decision ceilings ride on the
   engine's own :class:`~repro.core.budget.DecisionBudget`
@@ -73,16 +74,18 @@ from repro.core.wire import (
 )
 from repro.errors import BudgetExceeded, DecisionUnavailable, ReproError
 
-__all__ = ["DecisionServer", "ServerStats", "DECISION_OPS", "ALL_OPS"]
+__all__ = ["DecisionServer", "ServerStats", "ALL_OPS"]
 
 _M_REQUESTS = METRICS.counter("server.requests")
 _M_BUSY = METRICS.counter("server.busy_responses")
 _M_CONNECTIONS = METRICS.counter("server.connections")
 
-#: Ops that evaluate decisions (and therefore honor the BUSY gate).
-DECISION_OPS = ("decide", "implies", "summarizable", "navigate")
-#: Every op the server answers.
-ALL_OPS = DECISION_OPS + ("load-schema", "edit", "stats", "shutdown")
+#: Every op the server answers.  All but ``stats`` and ``shutdown`` run
+#: on the executor and therefore honor the BUSY gate.
+ALL_OPS = (
+    "decide", "implies", "summarizable", "navigate",
+    "load-schema", "edit", "stats", "shutdown",
+)
 
 
 @dataclass
@@ -120,9 +123,10 @@ class DecisionServer:
         startup (replay-verified) and persisted back on *every* stop
         path - graceful ``shutdown`` op, SIGINT, SIGTERM.
     max_inflight:
-        Concurrently *executing* decisions past which decision ops get
-        ``status="busy"``.  Also sizes the executor, so the gate bounds
-        both queue depth and thread count.
+        Concurrently *executing* requests past which every op but
+        ``stats`` and ``shutdown`` gets ``status="busy"``.  Also sizes
+        the executor, so the gate bounds both queue depth and thread
+        count.
     verify_cache_on_load:
         Replay loaded entries against the sequential kernel before
         serving them (the persistent cache's default posture).
@@ -399,7 +403,7 @@ class DecisionServer:
             assert self._loop is not None
             self._loop.call_soon(self.request_shutdown)
             return {"op": op, "status": "ok", "stopping": True, **extra}
-        if op in DECISION_OPS and self._inflight >= self.max_inflight:
+        if self._inflight >= self.max_inflight:
             # The typed BUSY: nothing was evaluated, retrying is sound.
             self.stats.busy_responses += 1
             _M_BUSY.inc()

@@ -52,19 +52,18 @@ from repro._types import Category
 from repro.baselines.homogenize import homogenize, is_null_member
 from repro.constraints.ast import Node
 from repro.constraints.printer import unparse
+from repro.core.auditlog import oracle_decide
 from repro.core.budget import DecisionBudget
 from repro.core.compile import (
     CompilationError,
     CompiledArtifactStore,
     CompiledDecisionEngine,
 )
-from repro.core.dimsat import dimsat
 from repro.core.engine import DecisionEngine, decide, normalize_request
 from repro.core.implication import implies as run_implies
 from repro.core.instance import DimensionInstance
 from repro.core.resilience import ResilientDecisionEngine, RetryPolicy
 from repro.core.schema import DimensionSchema
-from repro.core.summarizability import is_summarizable_in_schema
 from repro.errors import ReproError
 from repro.generators.adversarial import AdversarialCase, adversarial_corpus
 from repro.generators.random_schema import shrink_schema, write_falsifier
@@ -264,25 +263,6 @@ def build_soak_engine(config: SoakConfig) -> ResilientDecisionEngine:
         inner,
         retry=RetryPolicy(max_attempts=max(1, config.retries)),
     )
-
-
-def oracle_decide(schema: DimensionSchema, request: Sequence[object]) -> bool:
-    """Ground truth for one decision request.
-
-    Direct sequential kernel calls with ``cache=None``: no
-    fault-injection sites, no decision cache, no audit records - the
-    reference every engine verdict is compared against.
-    """
-    kind = request[0]
-    if kind == "dimsat":
-        return dimsat(schema, request[1]).satisfiable  # type: ignore[arg-type]
-    if kind == "implies":
-        return run_implies(schema, request[1], cache=None).implied
-    if kind == "summarizable":
-        return is_summarizable_in_schema(
-            schema, request[1], request[2], cache=None  # type: ignore[arg-type]
-        )
-    raise ReproError(f"unknown request kind {kind!r}")
 
 
 def _request_fits(schema: DimensionSchema, request: Sequence[object]) -> bool:

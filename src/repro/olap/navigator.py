@@ -108,7 +108,7 @@ class AggregateNavigator:
         :class:`~repro.core.compile.CompiledDecisionEngine` over the
         same cache.  When set (and ``schema`` is given), the rewriting
         search batches its candidate summarizability checks through
-        :meth:`~repro.core.engine.DecisionEngine.decide_many`
+        :meth:`~repro.core.engine.DecisionEngine.decide_many_outcomes`
         instead of deciding them one by one.
     """
 
@@ -267,7 +267,7 @@ class AggregateNavigator:
         """Batch-decide summarizability for many ``(target, sources)`` pairs.
 
         With a schema and an engine attached, the uncached pairs go out as
-        one ``decide_many`` batch (deduped, concurrent); otherwise they are
+        one ``decide_many_outcomes`` batch (deduped); otherwise they are
         decided one by one.  Either way every verdict lands in the
         navigator's local caches, so a subsequent rewriting search finds
         them for free.  Returns verdicts aligned with the input order.
@@ -288,40 +288,30 @@ class AggregateNavigator:
                 (self.schema, ("summarizable", target, tuple(sorted(sources))))
                 for target, sources in missing
             ]
-            if hasattr(self.engine, "decide_many_outcomes"):
-                # Resilient engine: an UNKNOWN check is conservatively
-                # treated as not-proven *for this batch only* - nothing is
-                # cached for it, so no degraded verdict can ever stick.
-                outcomes = self.engine.decide_many_outcomes(requests)
-                for (target, sources), outcome in zip(missing, outcomes):
-                    self.stats.summarizability_checks += 1
-                    if outcome.unknown:
-                        self.stats.unknown_verdicts += 1
-                        _M_UNKNOWN.inc()
-                        if TRACER.enabled:
-                            TRACER.event(
-                                "navigator.unknown",
-                                target=target,
-                                sources=sorted(sources),
-                                attempts=outcome.attempts,
-                            )
-                        continue
-                    self._summarizable_cache[(context, target, sources)] = (
-                        outcome.verdict
+            # An UNKNOWN check is conservatively treated as not-proven
+            # *for this batch only* - nothing is cached for it, so no
+            # degraded verdict can ever stick.
+            outcomes = self.engine.decide_many_outcomes(requests)
+            for (target, sources), outcome in zip(missing, outcomes):
+                self.stats.summarizability_checks += 1
+                if outcome.unknown:
+                    self.stats.unknown_verdicts += 1
+                    _M_UNKNOWN.inc()
+                    if TRACER.enabled:
+                        TRACER.event(
+                            "navigator.unknown",
+                            target=target,
+                            sources=sorted(sources),
+                            attempts=outcome.attempts,
+                        )
+                    continue
+                self._summarizable_cache[(context, target, sources)] = (
+                    outcome.verdict
+                )
+                if outcome.verdict:
+                    self._proven_sources.setdefault((context, target), []).append(
+                        sources
                     )
-                    if outcome.verdict:
-                        self._proven_sources.setdefault(
-                            (context, target), []
-                        ).append(sources)
-            else:
-                verdicts = self.engine.decide_many(requests)
-                for (target, sources), verdict in zip(missing, verdicts):
-                    self.stats.summarizability_checks += 1
-                    self._summarizable_cache[(context, target, sources)] = verdict
-                    if verdict:
-                        self._proven_sources.setdefault(
-                            (context, target), []
-                        ).append(sources)
         # ``.get(..., False)``: an UNKNOWN verdict has no cache entry and
         # reads as "not proven summarizable" - sound, because every caller
         # uses a positive verdict only to *replace* a base scan.

@@ -138,18 +138,12 @@ class _SummarizabilityCache:
             (self.schema, ("summarizable", target, tuple(sorted(sources))))
             for target, sources in missing
         ]
-        if hasattr(self.engine, "decide_many_outcomes"):
-            # Resilient engine: an UNKNOWN check stays out of the local
-            # dict, so :meth:`check` recomputes it sequentially on demand
-            # instead of ever trusting a degraded verdict.
-            for key, outcome in zip(
-                missing, self.engine.decide_many_outcomes(requests)
-            ):
-                if not outcome.unknown:
-                    self._cache[key] = outcome.verdict
-        else:
-            for key, verdict in zip(missing, self.engine.decide_many(requests)):
-                self._cache[key] = verdict
+        # An UNKNOWN check stays out of the local dict, so :meth:`check`
+        # recomputes it sequentially on demand instead of ever trusting
+        # a degraded verdict.
+        for key, outcome in zip(missing, self.engine.decide_many_outcomes(requests)):
+            if not outcome.unknown:
+                self._cache[key] = outcome.verdict
 
     def check(self, target: Category, sources: FrozenSet[Category]) -> bool:
         key = (target, sources)
@@ -201,7 +195,8 @@ def evaluate_selection(
     """Storage and weighted query cost of a concrete view set.
 
     With an ``engine``, every summarizability check the per-target plan
-    search may need goes out as one deduped ``decide_many`` batch first.
+    search may need goes out as one deduped ``decide_many_outcomes``
+    batch first.
     """
     chosen = frozenset(selected)
     # Per-evaluation span: one trial of the greedy/exhaustive selectors,

@@ -240,13 +240,12 @@ class TestEngineIntegration:
         expected = [dimsat(schema, c).satisfiable for c in categories]
         assert engine.decide_many(doubled) == expected + list(reversed(expected))
 
-    def test_try_decide_many_contains_errors(self, engine, schemas):
+    def test_decide_many_raises_schema_error(self, engine, schemas):
         schema = schemas["retail"]
-        results = engine.try_decide_many(
-            [(schema, ("dimsat", "Store")), (schema, ("dimsat", "Nope"))]
-        )
-        assert results[0] == dimsat(schema, "Store").satisfiable
-        assert isinstance(results[1], SchemaError)
+        with pytest.raises(SchemaError):
+            engine.decide_many(
+                [(schema, ("dimsat", "Store")), (schema, ("dimsat", "Nope"))]
+            )
 
     def test_shares_decision_cache_keys_with_sequential(self, schemas):
         """A verdict cached by the sequential path is served to the

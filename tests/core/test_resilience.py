@@ -142,6 +142,43 @@ class TestRetries:
             assert engine.is_satisfiable(schema, "City") is True
 
 
+class TestOneLadder:
+    """A batch request walks the same ladder a single decision does."""
+
+    BATCH = [
+        ("dimsat", "City"),
+        ("dimsat", "State"),
+        ("dimsat", "Store"),
+        ("implies", "Store -> City"),
+        ("implies", "City -> Province"),
+        ("summarizable", "SaleRegion", ("Store",)),
+        ("summarizable", "Country", ("City",)),
+    ]
+
+    @staticmethod
+    def _fresh_engine():
+        return ResilientDecisionEngine(
+            retry=FAST_RETRY,
+            breaker=CircuitBreaker(failure_threshold=1000),
+            cache=DecisionCache(),
+        )
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_batch_matches_one_by_one(self, schema, seed):
+        spec = f"oserror:p=0.5;seed={seed}"
+        batch = [(schema, request) for request in self.BATCH]
+        with inject_faults(spec):
+            batched = self._fresh_engine().decide_many_outcomes(batch)
+        engine = self._fresh_engine()
+        with inject_faults(spec):
+            single = [engine.decide(s, r) for s, r in batch]
+
+        def shape(outcomes):
+            return [(o.status, o.rung, o.attempts, o.verdict) for o in outcomes]
+
+        assert shape(batched) == shape(single)
+
+
 class TestDegradation:
     def test_persistent_fault_degrades_to_unknown(self, engine, schema):
         with inject_faults("worker-crash:p=1.0;seed=3"):

@@ -17,7 +17,8 @@ from repro.core.decisioncache import DecisionCache
 from repro.core.implication import is_implied
 from repro.core.engine import DecisionEngine
 from repro.core.resilience import ResilientDecisionEngine
-from repro.core.server import ALL_OPS, DECISION_OPS, DecisionServer
+from repro.core.faults import inject_faults
+from repro.core.server import ALL_OPS, DecisionServer
 from repro.core.client import DecisionClient, ServerClosed
 from repro.core.summarizability import is_summarizable_in_schema
 from repro.core.wire import encode_frame
@@ -444,7 +445,33 @@ class TestLifecycleAndPersistence:
         server.engine.shutdown()
         assert (tmp_path / "cache" / "decisions.cache").exists()
 
-    def test_decision_ops_are_the_gated_subset(self):
-        assert set(DECISION_OPS) < set(ALL_OPS)
-        for op in ("load-schema", "edit", "stats", "shutdown"):
-            assert op not in DECISION_OPS
+    def test_writes_honor_the_busy_gate(self, loc_schema):
+        """A ``load-schema`` arriving while a decision holds the only
+        in-flight slot is refused BUSY and registers nothing; ``stats``
+        is answered on the loop regardless."""
+        fresh = loc_schema.with_constraints(["City -> Province"])
+        with running_server(max_inflight=1) as server:
+            with _client(server) as setup:
+                fp = setup.load_schema(loc_schema)
+
+            def decide():
+                with _client(server) as reader:
+                    reader.implies(fp, "Store.City")
+
+            held = threading.Thread(target=decide)
+            with inject_faults("slow-worker:delay_ms=1000,p=1.0,times=1"):
+                held.start()
+                deadline = time.monotonic() + 10
+                while server._inflight < 1 and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                assert server._inflight == 1, "the decision never started"
+                with _client(server, busy_retries=0) as writer:
+                    response = writer.call(
+                        "load-schema", schema_json=schema_to_json(fresh)
+                    )
+                    assert writer.call("stats")["status"] == "ok"
+                held.join(30)
+            assert response["status"] == "busy"
+            assert "fingerprint" not in response
+            assert fresh.fingerprint() not in server._schemas
+            assert server.stats.busy_responses == 1

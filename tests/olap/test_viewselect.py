@@ -144,3 +144,52 @@ class TestNaiveLatticeComparison:
         naive = naive_lattice_coverage(problem, ["City"])
         aware = coverage(problem, ["City"])
         assert naive["Country"] == aware["Country"] is True
+
+
+class TestResilientPrefetch:
+    def test_unknown_checks_are_recomputed_by_check(self, problem, loc_schema):
+        """Under a fault every ladder rung hits, the prefetched checks come
+        back UNKNOWN: none lands in the local dict, ``check`` recomputes
+        each on the interpreted kernel, and the selection equals the
+        fault-free one."""
+        from repro.core.decisioncache import DecisionCache
+        from repro.core.faults import inject_faults
+        from repro.core.resilience import ResilientDecisionEngine, RetryPolicy
+        from repro.core.summarizability import is_summarizable_in_schema
+        from repro.olap.viewselect import _SummarizabilityCache
+
+        def engine():
+            return ResilientDecisionEngine(
+                retry=RetryPolicy(max_attempts=2, base_delay_ms=0.0),
+                cache=DecisionCache(),
+            )
+
+        faulted_engine = engine()
+        checks = _SummarizabilityCache(
+            loc_schema, None, DecisionCache(), faulted_engine
+        )
+        pairs = [
+            ("Country", frozenset({"City"})),
+            ("Country", frozenset({"State", "Province"})),
+        ]
+        with inject_faults("worker-crash:p=1.0;seed=3"):
+            checks.prefetch(pairs)
+            assert checks._cache == {}
+            verdicts = [checks.check(target, sources) for target, sources in pairs]
+        assert faulted_engine.stats.unknown_verdicts == len(pairs)
+        assert verdicts == [
+            is_summarizable_in_schema(loc_schema, target, sources, cache=None)
+            for target, sources in pairs
+        ]
+
+        expected = greedy_select(
+            problem, 200, cache=DecisionCache(), engine=engine()
+        )
+        with inject_faults("worker-crash:p=1.0;seed=3"):
+            faulted = greedy_select(
+                problem, 200, cache=DecisionCache(), engine=faulted_engine
+            )
+        assert faulted_engine.stats.unknown_verdicts > len(pairs)
+        assert faulted.categories == expected.categories
+        assert faulted.query_cost == expected.query_cost
+        assert faulted.answerable == expected.answerable

@@ -591,6 +591,24 @@ class TestWorkersAndBudget:
         assert "ok   Store" in out
         assert "ok   All" in out
 
+    def test_audit_with_every_rung_faulted_prints_unknown(
+        self, schema_file, capsys
+    ):
+        assert (
+            main(
+                [
+                    "--retries", "1",
+                    "--inject-faults", "worker-crash:p=1.0;seed=3",
+                    "audit", schema_file,
+                ]
+            )
+            == 4
+        )
+        out = capsys.readouterr().out
+        assert "UNKN  Store" in out
+        assert "ok   All" in out
+        assert "6 categories could not be decided" in out
+
     def test_implies_with_engine(self, schema_file, capsys):
         assert (
             main(["--engine", "sequential", "implies", schema_file, "Store -> City"])

@@ -182,6 +182,46 @@ class TestSection11Observability:
         assert snapshot["counters"]["dimsat.decisions"] == before + 1
 
 
+class TestSection12Resilience:
+    def test_decide_answers_via_the_primary_rung(self, ds):
+        from repro.core import DecisionCache, ResilientDecisionEngine
+
+        engine = ResilientDecisionEngine(cache=DecisionCache())
+        outcome = engine.decide(ds, ("dimsat", "Shipment"))
+        assert outcome.ok and outcome.verdict is True
+        assert outcome.rung == "primary"
+
+    def test_a_batch_answers_as_its_requests_one_by_one(self, ds):
+        """'each distinct request walks the ladder on its own, so a batch
+        answers exactly as its requests would one by one'."""
+        from repro.core import (
+            CircuitBreaker,
+            DecisionCache,
+            ResilientDecisionEngine,
+            RetryPolicy,
+            inject_faults,
+        )
+
+        def engine():
+            return ResilientDecisionEngine(
+                retry=RetryPolicy(base_delay_ms=0.0),
+                breaker=CircuitBreaker(failure_threshold=1000),
+                cache=DecisionCache(),
+            )
+
+        batch = [
+            (ds, ("dimsat", "Shipment")),
+            (ds, ("implies", "Shipment -> Region")),
+            (ds, ("summarizable", "Region", ("Center", "Gateway"))),
+        ]
+        with inject_faults("oserror:p=0.5;seed=4"):
+            batched = engine().decide_many_outcomes(batch)
+        one_by_one = engine()
+        with inject_faults("oserror:p=0.5;seed=4"):
+            single = [one_by_one.decide(s, r) for s, r in batch]
+        assert batched == single
+
+
 class TestSection9OrderPredicates:
     def test_weight_rule(self, g):
         ds2 = DimensionSchema(
